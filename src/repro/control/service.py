@@ -52,6 +52,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Mapping,
     Optional,
@@ -191,6 +192,14 @@ class SiteRuntime:
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def levels(self) -> FrozenSet[str]:
+        """Concrete metric levels this site's monitor and fault plan read."""
+        levels = self.monitor.levels
+        if self.spec.plan is not None:
+            levels |= self.spec.plan.levels
+        return levels
 
     def offer(self, record: IntervalRecord) -> None:
         """Route one interval record through this site's fault path."""
@@ -560,6 +569,9 @@ class CapacityService:
         One sampler per site streams into that site's fault path; a
         single flush timer (registered *after* the samplers, so it runs
         last at each shared timestamp) drives the batched decide pass.
+        Each sampler synthesizes only the metric levels its site reads
+        (:attr:`SiteRuntime.levels`); meter swaps keep the level, so the
+        set holds for the service's lifetime.
         """
         missing = [s.name for s in self.sites if s.name not in websites]
         if missing:
@@ -580,6 +592,7 @@ class CapacityService:
                     seed=site.spec.sampler_seed,
                     on_record=site.offer,
                     retain=0,
+                    levels=site.levels,
                 )
             )
         self._flush_timer = sim.every(interval, self._on_tick)

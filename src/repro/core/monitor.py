@@ -32,7 +32,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..obs import OBS
 from ..simulator.engine import Simulator
@@ -42,6 +51,7 @@ from ..telemetry.sampler import (
     IntervalRecord,
     TelemetrySampler,
     WindowStats,
+    concrete_levels,
 )
 from ..telemetry.streaming import (
     RunningCorrelation,
@@ -263,6 +273,19 @@ class OnlineCapacityMonitor:
         self.meter.coordinator.reset_history()
 
     # ------------------------------------------------------------------
+    @property
+    def levels(self) -> FrozenSet[str]:
+        """The concrete metric levels this monitor reads from a record.
+
+        The meter's level (hybrid reads both ``hpc`` and ``os``) plus
+        the level of every tracked PI definition.  A live sampler
+        feeding this monitor needs to synthesize nothing else.
+        """
+        levels = set(concrete_levels(self.meter.level))
+        for definition in self._pi_trackers:
+            levels.update(concrete_levels(definition.level))
+        return frozenset(levels)
+
     def attach(
         self,
         sim: Simulator,
@@ -279,7 +302,8 @@ class OnlineCapacityMonitor:
 
         The returned sampler keeps only ``retain`` raw records in its
         run (default none) — the run object is a stub, not a log; the
-        monitor is the consumer.
+        monitor is the consumer.  It synthesizes only the :attr:`levels`
+        the monitor reads.
         """
         return TelemetrySampler(
             sim,
@@ -291,6 +315,7 @@ class OnlineCapacityMonitor:
             seed=seed,
             on_record=self.push,
             retain=retain,
+            levels=self.levels,
         )
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..telemetry.sampler import HPC_LEVEL
 
@@ -136,6 +136,24 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.faults)
+
+    @property
+    def levels(self) -> FrozenSet[str]:
+        """The concrete metric levels an injector running this plan reads.
+
+        ``dropout``/``corrupt`` specs draw one random number per
+        attribute of their level's tier dict, and a spec without a tier
+        enumerates tiers from the ``hpc`` dict.  A live sampler feeding
+        the injector synthesizes these levels too, so the fault streams
+        stay the same as over a record carrying every level.
+        """
+        levels: Set[str] = set()
+        for spec in self.faults:
+            if spec.kind in ("dropout", "corrupt"):
+                levels.add(spec.level)
+            if spec.tier is None:
+                levels.add(HPC_LEVEL)
+        return frozenset(levels)
 
     def to_dict(self) -> Dict[str, object]:
         return {

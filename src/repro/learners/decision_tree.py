@@ -133,7 +133,12 @@ class DecisionTreeSynopsis(SynopsisLearner):
                 candidates.append((gain, ratio, j, threshold))
         if not candidates:
             return None, 0.0, 0.0
-        mean_gain = sum(c[0] for c in candidates) / len(candidates)
+        # the float mean of tied gains can round above all of them
+        # (sum([0.1] * 3) / 3 > 0.1): the top gain always qualifies
+        mean_gain = min(
+            sum(c[0] for c in candidates) / len(candidates),
+            max(c[0] for c in candidates),
+        )
         eligible = [c for c in candidates if c[0] >= mean_gain]
         gain, ratio, attribute, threshold = max(
             eligible, key=lambda c: c[1]

@@ -20,8 +20,9 @@ exploit:
   own sensitivities and noise, giving the attribute-selection stage a
   realistic haystack to search.
 
-All counters receive multiplicative log-normal measurement noise; the
-noise scale is configurable and seeded for reproducibility.
+All nonzero counters receive multiplicative log-normal measurement
+noise, drawn in one call per interval; the noise scale is configurable
+and seeded for reproducibility.
 """
 
 from __future__ import annotations
@@ -92,11 +93,6 @@ class HpcModel:
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
-    def _noisy(self, value: float) -> float:
-        if self.noise <= 0 or value == 0.0:
-            return value
-        return float(value * self._rng.lognormal(0.0, self.noise))
-
     def observe(self, sample: TierSample) -> Dict[str, float]:
         """Counter metrics for one interval (rates are per-second).
 
@@ -161,4 +157,12 @@ class HpcModel:
             "bus_transactions": bus / duration,
             "memory_bytes": mem_bytes / duration,
         }
-        return {name: self._noisy(value) for name, value in raw.items()}
+        if self.noise <= 0:
+            return raw
+        # one vector draw for every nonzero counter, in dict order: the
+        # same stream, value for value, as one scalar draw per counter
+        noisy = [name for name, value in raw.items() if value != 0.0]
+        factors = self._rng.lognormal(0.0, self.noise, size=len(noisy))
+        values = np.array([raw[name] for name in noisy], dtype=float)
+        raw.update(zip(noisy, (values * factors).tolist()))
+        return raw

@@ -19,7 +19,16 @@ with the corresponding high-level state, forms one training instance
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -31,6 +40,7 @@ from .hpc import HpcModel
 from .osmetrics import OsMetricsModel
 
 __all__ = [
+    "CONCRETE_LEVELS",
     "HPC_LEVEL",
     "OS_LEVEL",
     "HYBRID_LEVEL",
@@ -41,6 +51,7 @@ __all__ = [
     "WindowStats",
     "aggregate_window",
     "build_dataset",
+    "concrete_levels",
     "metric_row",
     "metric_matrix",
 ]
@@ -59,6 +70,17 @@ OS_LEVEL = "os"
 #: combined attribute space (paper Section VII future work: "combine
 #: hardware counter level metrics with OS level metrics")
 HYBRID_LEVEL = "hybrid"
+#: the levels a sampler synthesizes; hybrid combines them per record
+CONCRETE_LEVELS: Tuple[str, ...] = (HPC_LEVEL, OS_LEVEL)
+
+
+def concrete_levels(level: str) -> Tuple[str, ...]:
+    """The concrete levels a metric level reads (hybrid reads both)."""
+    if level == HYBRID_LEVEL:
+        return CONCRETE_LEVELS
+    if level in CONCRETE_LEVELS:
+        return (level,)
+    raise ValueError(f"unknown metric level {level!r}")
 
 
 @dataclass
@@ -152,6 +174,16 @@ class TelemetrySampler:
     :meth:`~repro.core.monitor.OnlineCapacityMonitor.push`) and bound
     ``retain`` so arbitrarily long runs hold O(retain) memory instead
     of growing without limit; ``retain=0`` keeps nothing.
+
+    ``levels`` names the concrete metric levels to synthesize, ``hpc``
+    and/or ``os`` (default both: the training testbed compares the
+    two).  A live consumer passes only what it reads — see
+    :attr:`~repro.core.monitor.OnlineCapacityMonitor.levels` — so an
+    hpc-level meter never pays for the 64 sysstat metrics it ignores,
+    the cost Section V.D deploys hardware counters to avoid.  A level
+    left out builds no model and leaves its record dict empty; each
+    level draws from its own per-tier generator, so the values of the
+    levels kept are the same as in a both-level run.
     """
 
     def __init__(
@@ -166,32 +198,43 @@ class TelemetrySampler:
         seed: int = 0,
         on_record: Optional[Callable[["IntervalRecord"], None]] = None,
         retain: Optional[int] = None,
+        levels: Iterable[str] = CONCRETE_LEVELS,
     ):
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
         if retain is not None and retain < 0:
             raise ValueError("retain must be non-negative when given")
+        self.levels = frozenset(levels)
+        if not self.levels or not self.levels <= set(CONCRETE_LEVELS):
+            raise ValueError(
+                f"levels must be a non-empty subset of {CONCRETE_LEVELS}, "
+                f"got {sorted(self.levels)}"
+            )
         self.sim = sim
         self.website = website
         self.on_record = on_record
         self.retain = retain
         self.samples_taken = 0
         self.run = MeasurementRun(workload=workload, interval=interval)
-        self._hpc_models = {
-            name: HpcModel(tier.spec, noise=hpc_noise, seed=seed * 1000 + i)
-            for i, (name, tier) in enumerate(website.tiers.items())
-        }
+        self._hpc_models: Dict[str, HpcModel] = {}
+        if HPC_LEVEL in self.levels:
+            self._hpc_models = {
+                name: HpcModel(tier.spec, noise=hpc_noise, seed=seed * 1000 + i)
+                for i, (name, tier) in enumerate(website.tiers.items())
+            }
         # the front tier behaves like an app server (thread timeslicing,
         # user-heavy CPU split); deeper tiers like database servers
-        self._os_models = {
-            name: OsMetricsModel(
-                tier.spec,
-                role="app" if i == 0 else "db",
-                noise=os_noise,
-                seed=seed * 1000 + 500 + i,
-            )
-            for i, (name, tier) in enumerate(website.tiers.items())
-        }
+        self._os_models: Dict[str, OsMetricsModel] = {}
+        if OS_LEVEL in self.levels:
+            self._os_models = {
+                name: OsMetricsModel(
+                    tier.spec,
+                    role="app" if i == 0 else "db",
+                    noise=os_noise,
+                    seed=seed * 1000 + 500 + i,
+                )
+                for i, (name, tier) in enumerate(website.tiers.items())
+            }
         self._timer = sim.every(interval, self._tick)
 
     def stop(self) -> None:
@@ -201,8 +244,31 @@ class TelemetrySampler:
     def _tick(self) -> None:
         t0 = OBS.clock() if OBS.enabled else None
         ws = self.website.sample()
-        duration = max(ws.client.duration, 1e-9)
+        record = IntervalRecord(
+            website=ws,
+            hpc={
+                name: model.observe(ws.tiers[name])
+                for name, model in self._hpc_models.items()
+            },
+            os=self._observe_os(ws) if self._os_models else {},
+        )
+        self.samples_taken += 1
+        records = self.run.records
+        records.append(record)
+        if self.retain is not None and len(records) > self.retain:
+            del records[: len(records) - self.retain]
+        if self.on_record is not None:
+            self.on_record(record)
+        if t0 is not None:
+            OBS.inc(
+                "repro_sampler_ticks_total",
+                help="sampling intervals collected across all tiers",
+            )
+            OBS.observe_span("sampler_tick", OBS.clock() - t0)
 
+    def _observe_os(self, ws: WebsiteSample) -> Dict[str, Dict[str, float]]:
+        """The sysstat vector of every tier, NIC rates included."""
+        duration = max(ws.client.duration, 1e-9)
         # attribute link traffic to tiers by the "src->dst" link names;
         # client-facing traffic lands on the front (first) tier.  This
         # works for the two-tier site and for arbitrary tier chains.
@@ -229,32 +295,10 @@ class TelemetrySampler:
         client_pck = ws.client.completed * 2.0 / duration
         net[front]["rx_pck_per_s"] += client_pck
         net[front]["tx_pck_per_s"] += client_pck
-        record = IntervalRecord(
-            website=ws,
-            hpc={
-                name: model.observe(ws.tiers[name])
-                for name, model in self._hpc_models.items()
-            },
-            os={
-                name: self._os_models[name].observe(
-                    ws.tiers[name], **net.get(name, {})
-                )
-                for name in self._os_models
-            },
-        )
-        self.samples_taken += 1
-        records = self.run.records
-        records.append(record)
-        if self.retain is not None and len(records) > self.retain:
-            del records[: len(records) - self.retain]
-        if self.on_record is not None:
-            self.on_record(record)
-        if t0 is not None:
-            OBS.inc(
-                "repro_sampler_ticks_total",
-                help="sampling intervals collected across all tiers",
-            )
-            OBS.observe_span("sampler_tick", OBS.clock() - t0)
+        return {
+            name: model.observe(ws.tiers[name], **net.get(name, {}))
+            for name, model in self._os_models.items()
+        }
 
 
 # ----------------------------------------------------------------------

@@ -362,6 +362,12 @@ class StreamingWindowAggregator:
                 acc.valid[self._fill] = False
                 continue
             if self.lenient:
+                if metrics.keys() == acc._index.keys():
+                    # a clean record: one row write, every cell valid —
+                    # the cells the per-attribute loop below would set
+                    acc.ring[self._fill] = [metrics[name] for name in acc.names]
+                    acc.valid[self._fill] = True
+                    continue
                 if self._explicit_attributes is None:
                     # inferred schemas grow: an attribute absent from
                     # the record the schema came from still joins once

@@ -102,3 +102,40 @@ def make_decision(overloaded: bool, *, held: bool = False, index: int = 0):
         stats=stats,
         held=held,
     )
+
+
+def attach_busy_sites(service) -> Simulator:
+    """Busy ordering traffic on every site of ``service``, attached live.
+
+    Each site gets its own website and a 40-client browser population
+    seeded from its spec; returns the simulator, not yet run.
+    """
+    from repro.workload.rbe import RemoteBrowserEmulator
+    from repro.workload.tpcw import ORDERING_MIX
+
+    sim = Simulator()
+    websites = {}
+    for site in service.sites:
+        website = MultiTierWebsite(sim, AppServer(sim), DatabaseServer(sim))
+        websites[site.name] = website
+        rbe = RemoteBrowserEmulator(
+            sim,
+            service.front_end(sim, site.name, website),
+            ORDERING_MIX,
+            think_time_mean=0.5,
+            seed=site.spec.seed,
+        )
+        rbe.set_population(40)
+    service.attach(sim, websites)
+    return sim
+
+
+def sample_both_levels(patch: pytest.MonkeyPatch) -> None:
+    """Make every live site's sampler synthesize hpc and os: the
+    reference the level-gated samplers must match."""
+    from repro.control.service import SiteRuntime
+    from repro.telemetry.sampler import CONCRETE_LEVELS
+
+    patch.setattr(
+        SiteRuntime, "levels", property(lambda site: frozenset(CONCRETE_LEVELS))
+    )

@@ -287,6 +287,24 @@ class TestDecisionTreeDetails:
         restored = SynopsisLearner.from_dict(original.to_dict())
         assert np.array_equal(restored.predict(X), original.predict(X))
 
+    def test_tied_gains_keep_the_best_split(self):
+        """Six copies of one attribute tie every candidate gain, and the
+        float mean of the ties rounds above each of them; the max-gain
+        candidate must stay eligible instead of leaving none."""
+        from repro.learners import DecisionTreeSynopsis
+
+        X = np.repeat([[2.0], [1.0], [1.0], [2.0]], 6, axis=1)
+        y = np.array([0, 1, 1, 1])
+        attribute, threshold, ratio = DecisionTreeSynopsis(
+            min_leaf=1
+        )._best_split(X, y.astype(float))
+        assert attribute == 0
+        assert threshold == 1.5
+        assert ratio > 0.0
+        learner = make_learner("tree", min_leaf=1, prune=False).fit(X, y)
+        assert learner.n_leaves() == 2
+        assert list(learner.predict(X)[1:3]) == [1, 1]
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             make_learner("tree", max_depth=0)

@@ -15,7 +15,7 @@ from repro.core.capacity import CapacityMeter, build_coordinated_instances
 from repro.core.labeler import SlaOracle
 from repro.core.monitor import OnlineCapacityMonitor
 from repro.core.pi import correlation, pi_series, throughput_series
-from repro.telemetry.sampler import HPC_LEVEL
+from repro.telemetry.sampler import HPC_LEVEL, HYBRID_LEVEL, OS_LEVEL
 from repro.workload.rbe import RemoteBrowserEmulator
 from repro.workload.tpcw import ORDERING_MIX
 
@@ -164,6 +164,34 @@ class TestAttach:
         assert monitor.counters.ticks == 35
         assert monitor.counters.windows == 35 // meter.window
         assert len(monitor.decisions) <= 2
+
+    def test_attach_samples_only_the_levels_read(self, meter, sim, website):
+        monitor = OnlineCapacityMonitor(meter)
+        sampler = monitor.attach(sim, website, retain=1)
+        sim.run(until=3.0)
+        sampler.stop()
+        assert sampler.levels == monitor.levels == {HPC_LEVEL}
+        assert sampler.run.records[-1].os == {}
+        assert monitor.counters.pi_skipped_updates == 0
+
+    @pytest.mark.parametrize(
+        "level,track_pi,expected",
+        [
+            (HPC_LEVEL, True, {HPC_LEVEL}),
+            (OS_LEVEL, False, {OS_LEVEL}),
+            # the PI candidates (IPC over L2 miss rate / stall fraction)
+            # are hardware counters whatever the meter reads
+            (OS_LEVEL, True, {HPC_LEVEL, OS_LEVEL}),
+            (HYBRID_LEVEL, False, {HPC_LEVEL, OS_LEVEL}),
+        ],
+    )
+    def test_levels_cover_meter_and_pi(
+        self, mini_pipeline, level, track_pi, expected
+    ):
+        monitor = OnlineCapacityMonitor(
+            mini_pipeline.meter(level), track_pi=track_pi
+        )
+        assert monitor.levels == expected
 
     def test_summary_rows_render(self, mini_pipeline, meter):
         run = mini_pipeline.test_run("ordering")

@@ -7,11 +7,14 @@ from repro.telemetry.dataset import OVERLOAD, UNDERLOAD
 from repro.telemetry.hpc import HPC_METRIC_NAMES
 from repro.telemetry.osmetrics import OS_METRIC_NAMES
 from repro.telemetry.sampler import (
+    CONCRETE_LEVELS,
     HPC_LEVEL,
+    HYBRID_LEVEL,
     OS_LEVEL,
     TelemetrySampler,
     aggregate_window,
     build_dataset,
+    concrete_levels,
 )
 from repro.workload.rbe import RemoteBrowserEmulator
 from repro.workload.tpcw import ORDERING_MIX
@@ -239,6 +242,62 @@ class TestStreamingSampler:
     def test_negative_retain_rejected(self, sim, website):
         with pytest.raises(ValueError):
             TelemetrySampler(sim, website, interval=1.0, retain=-1)
+
+
+def sample_levels(**kwargs):
+    """A busy site sampled for 20 s; the sampler, run retained."""
+    sim = Simulator()
+    website = MultiTierWebsite(sim, AppServer(sim), DatabaseServer(sim))
+    rbe = RemoteBrowserEmulator(
+        sim, website, ORDERING_MIX, think_time_mean=0.5, seed=5
+    )
+    rbe.set_population(6)
+    sampler = TelemetrySampler(sim, website, seed=4, **kwargs)
+    sim.run(until=20.0)
+    sampler.stop()
+    return sampler
+
+
+class TestLevelGating:
+    """A sampler synthesizes only the levels its consumer reads."""
+
+    @pytest.fixture(scope="class")
+    def both(self):
+        return sample_levels().run.records
+
+    def test_default_synthesizes_both_levels(self, both):
+        assert sorted(sample_levels().levels) == sorted(CONCRETE_LEVELS)
+        assert all(r.hpc and r.os for r in both)
+
+    @pytest.mark.parametrize("kept,dropped", [("hpc", "os"), ("os", "hpc")])
+    def test_one_level_equals_its_half_of_both(self, both, kept, dropped):
+        """Each level draws from its own generators, so leaving one out
+        changes no value of the other — nor the website samples."""
+        sampler = sample_levels(levels=[kept])
+        records = sampler.run.records
+        assert sampler.levels == frozenset([kept])
+        assert [getattr(r, kept) for r in records] == [
+            getattr(r, kept) for r in both
+        ]
+        assert all(getattr(r, dropped) == {} for r in records)
+        assert [r.website for r in records] == [r.website for r in both]
+
+    def test_no_os_models_without_os(self):
+        sampler = sample_levels(levels=[HPC_LEVEL])
+        assert sampler._os_models == {}
+        assert sorted(sampler._hpc_models) == ["app", "db"]
+
+    @pytest.mark.parametrize("levels", [[], ["quantum"], [HYBRID_LEVEL]])
+    def test_rejects_empty_or_unknown_levels(self, sim, website, levels):
+        with pytest.raises(ValueError, match="levels"):
+            TelemetrySampler(sim, website, levels=levels)
+
+    def test_concrete_levels(self):
+        assert concrete_levels(HPC_LEVEL) == (HPC_LEVEL,)
+        assert concrete_levels(OS_LEVEL) == (OS_LEVEL,)
+        assert concrete_levels(HYBRID_LEVEL) == CONCRETE_LEVELS
+        with pytest.raises(ValueError):
+            concrete_levels("quantum")
 
 
 class TestHybridLevel:

@@ -28,10 +28,15 @@ from repro.simulator import (
     MultiTierWebsite,
     Simulator,
 )
-from repro.telemetry.sampler import HPC_LEVEL
+from repro.telemetry.sampler import (
+    CONCRETE_LEVELS,
+    HPC_LEVEL,
+    HYBRID_LEVEL,
+    OS_LEVEL,
+)
 from repro.workload.rbe import RemoteBrowserEmulator
 from repro.workload.tpcw import INTERACTIONS, ORDERING_MIX
-from tests.conftest import MINI_WINDOW
+from tests.conftest import MINI_WINDOW, attach_busy_sites, sample_both_levels
 
 #: dropout plus a mid-stream database stall — the canonical degraded
 #: scenario the ``repro faults`` campaign uses
@@ -41,6 +46,23 @@ FAULTY_PLAN = FaultPlan(
         FaultSpec(kind="dropout", probability=0.2),
         FaultSpec(kind="stall", tier="db", start=40, end=41),
     ),
+)
+
+
+#: os-level faults: the one reason an hpc-metered site keeps its
+#: sysstat vector (the injector draws per OS attribute)
+OS_FAULT_PLAN = FaultPlan(
+    seed=5,
+    faults=(
+        FaultSpec(kind="dropout", level=OS_LEVEL, probability=0.3),
+        FaultSpec(kind="corrupt", tier="db", level=OS_LEVEL, probability=0.2),
+    ),
+)
+
+LIVE_SPECS = (
+    SiteSpec(name="clean", seed=1),
+    SiteSpec(name="faulty", seed=2, plan=FAULTY_PLAN),
+    SiteSpec(name="os-faulty", seed=3, plan=OS_FAULT_PLAN),
 )
 
 
@@ -264,6 +286,114 @@ class TestLiveMode:
         front.submit(INTERACTIONS["home"], outcomes.append)
         assert outcomes and outcomes[0].dropped
         assert service.site("a").gate.stats.rejected == 1
+
+
+def serve_live(meter, specs=LIVE_SPECS, *, windows=6):
+    """Serve ``specs`` live on busy ordering traffic.
+
+    Returns the stopped service, its ``(site, decision)`` stream and
+    each site's sampler (retaining its last interval record).
+    """
+    decisions = []
+    service = CapacityService(
+        meter,
+        list(specs),
+        on_decision=lambda name, decision: decisions.append((name, decision)),
+    )
+    sim = attach_busy_sites(service)
+    samplers = {
+        site.name: sampler
+        for site, sampler in zip(service.sites, service._samplers)
+    }
+    for sampler in samplers.values():
+        sampler.retain = 1
+    sim.run(until=MINI_WINDOW * windows + 1)
+    service.stop()
+    return service, decisions, samplers
+
+
+def last_records(samplers):
+    return {name: s.run.records[-1] for name, s in samplers.items()}
+
+
+def live_outcome(service, decisions):
+    """Per site: decisions, confidences, gate, PI moments, injections."""
+    return {
+        site.name: (
+            site_signature(decisions, site.name),
+            [d.confidence for name, d in decisions if name == site.name],
+            site.gate.state_dict(),
+            site.monitor.state_dict()["pi"],
+            None if site.injector is None else site.injector.counters.as_dict(),
+        )
+        for site in service.sites
+    }
+
+
+def both_levels_outcome(meter, specs=LIVE_SPECS):
+    """The same live run with every sampler synthesizing both levels."""
+    with pytest.MonkeyPatch.context() as patch:
+        sample_both_levels(patch)
+        service, decisions, samplers = serve_live(meter, specs)
+    assert all(record.os for record in last_records(samplers).values())
+    return live_outcome(service, decisions)
+
+
+class TestLiveLevels:
+    """Live samplers synthesize only what their site reads."""
+
+    def test_hpc_meter_sites_skip_the_os_vector(self, meter):
+        service, decisions, samplers = serve_live(meter)
+        assert {site.name: site.levels for site in service.sites} == {
+            "clean": {HPC_LEVEL},
+            "faulty": {HPC_LEVEL},
+            "os-faulty": {HPC_LEVEL, OS_LEVEL},
+        }
+        for site in service.sites:
+            assert samplers[site.name].levels == site.levels
+        assert samplers["clean"]._os_models == {}
+        last = last_records(samplers)
+        assert last["clean"].os == {}
+        assert last["faulty"].os == {}
+        assert sorted(last["os-faulty"].os) == ["app", "db"]
+        assert len(decisions) == 6 * len(LIVE_SPECS)
+
+    def test_decisions_equal_a_both_level_reference(self, meter):
+        service, decisions, _ = serve_live(meter)
+        assert live_outcome(service, decisions) == both_levels_outcome(meter)
+
+    @pytest.mark.parametrize("level", [OS_LEVEL, HYBRID_LEVEL])
+    def test_os_reading_meters_keep_os_and_pi(self, mini_pipeline, level):
+        meter = mini_pipeline.meter(level)
+        specs = LIVE_SPECS[:1]
+        service, decisions, samplers = serve_live(meter, specs)
+        (site,) = service.sites
+        assert site.levels == frozenset(CONCRETE_LEVELS)
+        assert sorted(last_records(samplers)["clean"].os) == ["app", "db"]
+        monitor = site.monitor
+        assert monitor.counters.partial_ticks == 0
+        assert monitor.counters.pi_skipped_updates == 0
+        assert [item["state"]["n"] for item in monitor.state_dict()["pi"]] == [
+            monitor.counters.ticks
+        ] * 4
+        assert decisions and not any(d.degraded for _, d in decisions)
+        assert live_outcome(service, decisions) == both_levels_outcome(
+            meter, specs
+        )
+
+    def test_fault_plan_levels(self):
+        assert FaultPlan().levels == frozenset()
+        assert FAULTY_PLAN.levels == {HPC_LEVEL}
+        assert OS_FAULT_PLAN.levels == {HPC_LEVEL, OS_LEVEL}
+        # tier-bound record faults read no metric dict at all
+        targeted = FaultPlan(
+            faults=(FaultSpec(kind="stall", tier="db", level=OS_LEVEL),)
+        )
+        assert targeted.levels == frozenset()
+        tiered_os = FaultPlan(
+            faults=(FaultSpec(kind="dropout", tier="app", level=OS_LEVEL),)
+        )
+        assert tiered_os.levels == {OS_LEVEL}
 
 
 class TestServeCli:

@@ -28,7 +28,8 @@ from repro.control.shard import ShardedCapacityService, partition_sites
 from repro.faults import FaultPlan, FaultSpec, decision_signature
 from repro.obs import OBS, MetricsRegistry, merge_snapshot, snapshot_lines
 from repro.parallel.pool import WorkerError, WorkerPool
-from repro.telemetry.sampler import HPC_LEVEL
+from repro.telemetry.sampler import HPC_LEVEL, OS_LEVEL
+from tests.conftest import attach_busy_sites, sample_both_levels
 
 FAULTY_PLAN = FaultPlan(
     seed=3,
@@ -194,6 +195,74 @@ class TestShardedParity:
                 workers=2,
                 labeler=labeler,
             )
+
+
+# ----------------------------------------------------------------------
+# live shards sample only the levels their sites read
+# ----------------------------------------------------------------------
+OS_FAULT_PLAN = FaultPlan(
+    seed=5,
+    faults=(FaultSpec(kind="dropout", level=OS_LEVEL, probability=0.3),),
+)
+
+LIVE_SPECS = [
+    SiteSpec(name="site0", seed=100),
+    SiteSpec(name="site1", seed=101, plan=FAULTY_PLAN),
+    SiteSpec(name="site2", seed=102, plan=OS_FAULT_PLAN),
+    SiteSpec(name="site3", seed=103),
+]
+LIVE_SECONDS = 61.0
+
+
+def _live_factory(service, duration):
+    """``attach_factory`` body; fails the shard if a site that reads no
+    OS metric gets a sampler that synthesizes them."""
+    sim = attach_busy_sites(service)
+    for site, sampler in zip(service.sites, service._samplers):
+        if bool(sampler._os_models) != (site.spec.plan == OS_FAULT_PLAN):
+            raise AssertionError(f"{site.name} samples {sorted(sampler.levels)}")
+    return sim, duration
+
+
+def live_stream(triples):
+    return [
+        (name, decision_signature([decision]), decision.confidence, gate_p)
+        for name, decision, gate_p in triples
+    ]
+
+
+class TestLiveLevelParity:
+    def test_sharded_live_equals_both_level_reference(self, meter, labeler):
+        """2 live shards whose samplers skip unread OS metrics decide,
+        gate and fold exactly like one process whose samplers
+        synthesize both levels."""
+        reference = []
+        with pytest.MonkeyPatch.context() as patch:
+            sample_both_levels(patch)
+            single = CapacityService(meter, LIVE_SPECS, labeler=labeler)
+            single.on_decision = lambda name, decision: reference.append(
+                (name, decision, single.site(name).gate.admission_probability)
+            )
+            attach_busy_sites(single).run(until=LIVE_SECONDS)
+        single.stop()
+        assert len(reference) == 6 * len(LIVE_SPECS)
+
+        with ShardedCapacityService(
+            meter, LIVE_SPECS, workers=2, labeler=labeler
+        ) as service:
+            duration = service.attach_factory(_live_factory, LIVE_SECONDS)
+            merged = []
+            for until in (20.0, 40.0, duration):
+                merged.extend(service.advance(until))
+            assert live_stream(merged) == live_stream(reference)
+            assert service.gate_states() == {
+                site.name: site.gate.state_dict() for site in single.sites
+            }
+            states = service.monitor_states()
+            assert canon({n: v["state"] for n, v in states.items()}) == canon(
+                {site.name: site.monitor.state_dict() for site in single.sites}
+            )
+            service.detach()
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.core.pi import correlation
 from repro.telemetry.sampler import (
     HPC_LEVEL,
     OS_LEVEL,
+    IntervalRecord,
     TelemetrySampler,
     aggregate_window,
     build_dataset,
@@ -21,6 +22,7 @@ from repro.telemetry.sampler import (
 from repro.telemetry.streaming import (
     RunningCorrelation,
     StreamingWindowAggregator,
+    WindowQuality,
 )
 from repro.workload.rbe import RemoteBrowserEmulator
 from repro.workload.tpcw import ORDERING_MIX
@@ -142,6 +144,92 @@ class TestStreamingEquivalence:
         results = [aggregator.push(r) for r in sampled_run.records[:11]]
         assert all(r is None for r in results)
         assert aggregator.push(sampled_run.records[11]) is not None
+
+
+def reshaped(record, **tiers):
+    """A copy of ``record`` with hpc tier dicts replaced (None drops)."""
+    hpc = dict(record.hpc)
+    for tier, metrics in tiers.items():
+        if metrics is None:
+            del hpc[tier]
+        else:
+            hpc[tier] = metrics
+    return IntervalRecord(website=record.website, hpc=hpc, os=record.os)
+
+
+class TestLenientFold:
+    """Lenient folds: clean records take one row write, the rest mask."""
+
+    @pytest.mark.parametrize("level", [HPC_LEVEL, OS_LEVEL])
+    def test_clean_windows_match_batch_exactly(self, sampled_run, level):
+        window = 10
+        aggregator = StreamingWindowAggregator(
+            level=level, tiers=["app", "db"], window=window, lenient=True
+        )
+        emitted = [
+            w
+            for w in map(aggregator.push, sampled_run.records)
+            if w is not None
+        ]
+        assert len(emitted) == len(sampled_run.records) // window
+        for tier in ("app", "db"):
+            dataset = build_dataset(
+                sampled_run,
+                level=level,
+                tier=tier,
+                labeler=lambda stats: 0,
+                window=window,
+            )
+            for streamed, instance in zip(emitted, dataset.instances):
+                assert streamed.metrics[tier] == instance.attributes
+        assert all(w.quality.complete for w in emitted)
+
+    def test_mixed_window_masks_each_fault(self, sampled_run):
+        """Clean, dropped-attribute, schema-growth and missing-tier
+        records in one window: masked means and quality by hand.  The
+        record after the growth carries the grown schema, so it folds
+        clean and must validate the new attribute's cell."""
+        r = sampled_run.records[:5]
+        dropped = {k: v for k, v in r[1].hpc["app"].items() if k != "ipc"}
+        stream = [
+            r[0],
+            reshaped(r[1], app=dropped),
+            reshaped(r[2], app=dict(r[2].hpc["app"], extra_counter=42.0)),
+            reshaped(r[3], app=dict(r[3].hpc["app"], extra_counter=43.0)),
+            reshaped(r[4], db=None),
+        ]
+        aggregator = StreamingWindowAggregator(
+            level=HPC_LEVEL, tiers=["app", "db"], window=5, lenient=True
+        )
+        emitted = [aggregator.push(record) for record in stream]
+        assert emitted[:4] == [None] * 4
+        window = emitted[4]
+
+        def mean(values):
+            return float(np.mean(values))
+
+        app = window.metrics["app"]
+        names = sorted(r[0].hpc["app"])
+        assert sorted(app) == sorted(names + ["extra_counter"])
+        assert app["ipc"] == mean(
+            [r[i].hpc["app"]["ipc"] for i in (0, 2, 3, 4)]
+        )
+        for name in names:
+            if name != "ipc":
+                assert app[name] == mean([x.hpc["app"][name] for x in r])
+        assert app["extra_counter"] == 42.5
+        db = window.metrics["db"]
+        for name in sorted(r[0].hpc["db"]):
+            assert db[name] == mean([r[i].hpc["db"][name] for i in range(4)])
+        cells = 5 * (len(names) + 1)
+        # app: ipc missed once, the grown counter before it appeared
+        # and once after; db: one tick of every attribute
+        assert window.quality == WindowQuality(
+            ticks=5,
+            tier_coverage={"app": (cells - 4) / cells, "db": 0.8},
+            missing_attributes={"app": (), "db": ()},
+        )
+        assert window.stats == aggregate_window(r)
 
 
 class TestBoundedMemory:

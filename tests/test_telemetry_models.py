@@ -6,7 +6,7 @@ import pytest
 from repro.simulator.appserver import PENTIUM4_SPEC
 from repro.simulator.database import PENTIUMD_SPEC
 from repro.simulator.server import TierSample
-from repro.telemetry.hpc import HPC_METRIC_NAMES, HpcModel
+from repro.telemetry.hpc import HPC_METRIC_NAMES, HpcModel, _ArchParams
 from repro.telemetry.osmetrics import OS_METRIC_NAMES, OsMetricsModel
 
 
@@ -110,6 +110,67 @@ class TestHpcModel:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             HpcModel(PENTIUM4_SPEC, noise=-0.1)
+
+
+def scalar_noise_reference(model, sample):
+    """The scalar per-counter noise loop ``observe`` replaced.
+
+    One ``lognormal`` draw per nonzero counter in dict order, zero
+    counters and ``noise=0`` left untouched — the reference the single
+    vector draw must reproduce value for value, generator state
+    included.
+    """
+    noise = model.noise
+    model.noise = 0.0
+    try:
+        raw = model.observe(sample)
+    finally:
+        model.noise = noise
+
+    def noisy(value):
+        if noise <= 0 or value == 0.0:
+            return value
+        return float(value * model._rng.lognormal(0.0, noise))
+
+    return {name: noisy(value) for name, value in raw.items()}
+
+
+class TestCounterNoiseReference:
+    SAMPLES = (
+        make_sample(),
+        make_sample(miss=0.4, runnable=40.0, background=0.1),
+        # an idle tier: most counters are zero and skip their draw
+        make_sample(work=0.0, busy=0.0, completed=0),
+        make_sample(work=2.0, busy=1.0, cores=2),
+    )
+
+    @pytest.mark.parametrize("noise", [0.0, 0.03, 0.25])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_vector_draw_equals_scalar_loop(self, noise, seed):
+        model = HpcModel(PENTIUM4_SPEC, noise=noise, seed=seed)
+        reference = HpcModel(PENTIUM4_SPEC, noise=noise, seed=seed)
+        for sample in self.SAMPLES * 3:
+            got = model.observe(sample)
+            want = scalar_noise_reference(reference, sample)
+            assert got == want
+            assert list(got) == list(want)
+            assert all(type(value) is float for value in got.values())
+            assert (
+                model._rng.bit_generator.state
+                == reference._rng.bit_generator.state
+            )
+
+    def test_all_zero_counters_draw_nothing(self):
+        """No branch-miss floor and no work: every counter is zero, the
+        vector draw is empty and the generator does not move."""
+        arch = _ArchParams(base_branch_miss=0.0)
+        model = HpcModel(PENTIUM4_SPEC, noise=0.03, seed=3, arch=arch)
+        before = model._rng.bit_generator.state
+        metrics = model.observe(
+            make_sample(work=0.0, busy=0.0, completed=0, runnable=0.0, miss=0.0)
+        )
+        assert set(metrics.values()) == {0.0}
+        assert model._rng.bit_generator.state == before
 
 
 class TestOsMetricsModel:
