@@ -45,12 +45,14 @@ slo-check:
 	$(PYTHON) benchmarks/run_http_slo.py --rps 200 --duration 10
 	$(PYTHON) benchmarks/compare_baselines.py --only http --time-tolerance 2.0
 
-# the serving benchmark's output checks on both fleets: every window
-# decided, none held or degraded, sharded signatures equal to
-# single-process ones; the exit code gates, timings do not
+# the serving benchmark's output checks on both fleets and on the
+# simulated-traffic sites: every window decided, none held or degraded,
+# sharded signatures equal to single-process ones; the exit code gates,
+# timings do not
 perfbench-check:
 	python3 perfbench/run.py --workload fleet-recorded --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload fleet-sharded --seed 1 --seconds 5 --trace 0
+	python3 perfbench/run.py --workload serve-live --seed 1 --seconds 5 --trace 0
 
 examples:
 	$(PYTHON) examples/quickstart.py 0.2

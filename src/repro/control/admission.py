@@ -202,7 +202,7 @@ class AimdGate:
     def admit(self) -> bool:
         """Draw one admission decision at the current probability."""
         self.stats.offered += 1
-        if self._rng.uniform() > self.admission_probability:
+        if self._rng.random() > self.admission_probability:
             self.stats.rejected += 1
             if OBS.enabled:
                 self._handles()[3].inc()

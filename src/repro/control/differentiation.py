@@ -153,7 +153,7 @@ class ClassDifferentiator:
         """Admit or reject by class, then forward to the website."""
         category = request.category
         self.stats.offered[category] += 1
-        if self._rng.uniform() > self.admission[category]:
+        if self._rng.random() > self.admission[category]:
             self.stats.rejected[category] += 1
             on_complete(
                 CompletedRequest(

@@ -11,30 +11,26 @@ supports the two features a server simulation actually needs:
 
 * **cancellation** — a scheduled event can be cancelled in O(1) (lazy
   deletion), which tier models use to reschedule completions when their
-  service rate changes; and
+  service rate changes (:meth:`Simulator.reschedule` keeps the event
+  when the new time is the old one and nothing was scheduled since); and
 * **recurring timers** — used by telemetry samplers and open-loop
   workload sources.
+
+Heap entries are plain ``(time, seq, event)`` tuples: ``seq`` is unique,
+so the event itself is never compared and ``heapq`` orders entries with
+the C tuple comparison.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised on invalid use of the simulation engine."""
-
-
-@dataclass(order=True)
-class _HeapEntry:
-    time: float
-    seq: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -45,12 +41,16 @@ class Event:
     popped (lazy deletion), which keeps cancellation O(1).
     """
 
-    __slots__ = ("time", "action", "cancelled")
+    __slots__ = ("time", "action", "cancelled", "seq")
 
-    def __init__(self, time: float, action: Callable[[], None]):
+    def __init__(
+        self, time: float, action: Callable[[], None], seq: int = -1
+    ):
         self.time = time
         self.action = action
         self.cancelled = False
+        #: tie-break rank in the heap; -1 for handles never pushed
+        self.seq = seq
 
     def cancel(self) -> None:
         """Mark this event so the engine skips it when its time comes."""
@@ -59,6 +59,25 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, {state})"
+
+
+class _SeriesHandle(Event):
+    """Handle of an :meth:`Simulator.every` series.
+
+    ``current`` is the scheduled tick; cancelling the handle cancels it
+    and sets the handle's own flag, which the tick checks after the
+    action so that a series cancelled from inside its action stops too.
+    """
+
+    __slots__ = ("current",)
+
+    def __init__(self, current: Event, action: Callable[[], None]):
+        super().__init__(current.time, action)
+        self.current = current
+
+    def cancel(self) -> None:  # noqa: D102 - same contract
+        self.cancelled = True
+        self.current.cancel()
 
 
 class Simulator:
@@ -79,8 +98,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: List[_HeapEntry] = []
-        self._seq = itertools.count()
+        self._heap: List[Tuple[float, int, Event]] = []
+        self._seq = -1  # seq of the most recently scheduled event
         self._running = False
         self._events_executed = 0
 
@@ -111,14 +130,52 @@ class Simulator:
         return self.schedule_at(self._now + delay, action)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
-        """Schedule ``action`` at an absolute simulated time."""
-        if time < self._now:
+        """Schedule ``action`` at an absolute simulated time.
+
+        Times before now are rejected, and so is NaN, which would
+        otherwise compare false against every entry and fire out of
+        order.
+        """
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f} before now={self._now:.6f}"
             )
-        event = Event(time, action)
-        heapq.heappush(self._heap, _HeapEntry(time, next(self._seq), event))
+        self._seq = seq = self._seq + 1
+        event = Event(time, action, seq)
+        heappush(self._heap, (time, seq, event))
         return event
+
+    def reschedule(
+        self,
+        event: Optional[Event],
+        delay: float,
+        action: Callable[[], None],
+    ) -> Event:
+        """Move ``event`` to ``delay`` seconds from now, running ``action``.
+
+        Equivalent to ``event.cancel()`` followed by
+        ``schedule(delay, action)`` — the same events run in the same
+        order — but when ``event`` is pending, is the most recently
+        scheduled event and would come back at exactly the same future
+        time, it keeps its heap entry, takes ``action`` and is returned.
+        Its entry ``(T, s)`` and the replacement ``(T, s + 1)`` rank
+        alike against every live and future entry, because no entry
+        holds a sequence number between them.  A fired event's time is
+        never later than now, so it is never kept.  ``event`` may be
+        None (nothing to cancel).
+        """
+        if event is not None:
+            time = self._now + delay
+            if (
+                event.seq == self._seq
+                and event.time == time
+                and time > self._now
+                and not event.cancelled
+            ):
+                event.action = action
+                return event
+            event.cancel()
+        return self.schedule(delay, action)
 
     def every(
         self,
@@ -135,45 +192,37 @@ class Simulator:
         if interval <= 0:
             raise SimulationError("recurring interval must be positive")
 
-        handle_box: List[Event] = []
-
         def tick() -> None:
             action()
-            # the action may have cancelled the series via the proxy; at
-            # that point handle_box[0] is this already-fired event, so
-            # only the proxy flag can stop the recurrence
-            if proxy.cancelled:
+            # the action may have cancelled the series via the handle; at
+            # that point handle.current is this already-fired event, so
+            # only the handle's own flag can stop the recurrence
+            if handle.cancelled:
                 return
-            handle_box[0] = self.schedule(interval, tick)
-            proxy.time = handle_box[0].time
+            handle.current = self.schedule(interval, tick)
+            handle.time = handle.current.time
 
-        first = self.schedule(
-            interval if start_delay is None else start_delay, tick
+        handle = _SeriesHandle(
+            self.schedule(
+                interval if start_delay is None else start_delay, tick
+            ),
+            action,
         )
-        handle_box.append(first)
-
-        class _SeriesHandle(Event):
-            __slots__ = ()
-
-            def cancel(self) -> None:  # noqa: D102 - same contract
-                self.cancelled = True
-                handle_box[0].cancel()
-
-        proxy = _SeriesHandle(first.time, action)
-        return proxy
+        return handle
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.event.cancelled:
+        heap = self._heap
+        while heap:
+            time, _, event = heappop(heap)
+            if event.cancelled:
                 continue
-            self._now = entry.time
+            self._now = time
             self._events_executed += 1
-            entry.event.action()
+            event.action()
             return True
         return False
 
@@ -187,18 +236,19 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
         try:
-            while self._heap:
-                entry = self._heap[0]
-                if entry.event.cancelled:
-                    heapq.heappop(self._heap)
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
                     continue
-                if until is not None and entry.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._heap)
-                self._now = entry.time
+                heappop(heap)
+                self._now = time
                 self._events_executed += 1
-                entry.event.action()
+                event.action()
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -206,6 +256,7 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the heap is empty."""
-        while self._heap and self._heap[0].event.cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None

@@ -233,9 +233,12 @@ class TierServer:
         self._ws_blocked_kb = 0.0
         self._ws_queued_kb = 0.0
 
-        # processor-sharing core
+        # processor-sharing core; _resync derives _miss, _pressure and
+        # _rate for the current state and _advance integrates them
         self._virtual = 0.0  # common progress of all runnable phases
         self._rate = 0.0  # d(virtual)/dt under the current state
+        self._miss = 0.0  # cache miss rate under the current state
+        self._pressure = 0.0  # cache pressure under the current state
         self._phase_heap: List[Tuple[float, int, _Phase]] = []
         self._phase_seq = itertools.count()
         self._completion_event: Optional[Event] = None
@@ -258,6 +261,7 @@ class TierServer:
         self._service_time_sum = 0.0
         self._residence_time_sum = 0.0
         self._sample_start = sim.now
+        self._resync()
 
     # ------------------------------------------------------------------
     # live state inspection
@@ -308,41 +312,97 @@ class TierServer:
     # accounting + processor-sharing core
     # ------------------------------------------------------------------
     def _advance(self) -> None:
-        """Integrate state up to now using the rate in force since then."""
+        """Integrate state up to now using the rate in force since then.
+
+        Every mutator ends in :meth:`_resync`, and time only moves
+        between events, so the state integrated here is always the one
+        the last ``_resync`` derived ``_miss``, ``_pressure`` and
+        ``_rate`` from.
+        """
         now = self.sim.now
         dt = now - self._last_advance
         if dt <= 0:
             return
-        n = self.runnable
-        busy_cores = min(n, self.spec.cores)
-        self._int_core_busy += busy_cores * dt
+        runnable = self._runnable
+        bg_active = self._bg_active
+        n = runnable + bg_active
+        pool = self.pool
+        cores = self.spec.cores
+        self._int_core_busy += (cores if cores < n else n) * dt
         self._int_runnable += n * dt
         self._int_blocked += self._blocked * dt
-        self._int_threads += self.pool.in_use * dt
-        self._int_queue += self.pool.queue_length * dt
-        ws = self.working_set_kb()
-        self._int_miss_rate += self.cache.miss_rate(ws) * dt
-        self._int_pressure += self.cache.pressure(ws) * dt
-        if n > 0 and self._rate > 0:
-            progress = self._rate * dt
+        self._int_threads += pool.in_use * dt
+        self._int_queue += pool.queue_length * dt
+        self._int_miss_rate += self._miss * dt
+        self._int_pressure += self._pressure * dt
+        rate = self._rate
+        if n > 0 and rate > 0:
+            progress = rate * dt
             self._virtual += progress
-            self._work_done += progress * self._runnable
-            self._background_work += progress * self._bg_active
+            self._work_done += progress * runnable
+            self._background_work += progress * bg_active
         self._last_advance = now
 
     def _resync(self) -> None:
-        """Recompute the PS rate and reschedule the next completion."""
-        self._rate = self.progress_rate()
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
-        if not self._phase_heap:
+        """Derive the cache state and PS rate; reschedule the next completion.
+
+        This is the one place the rate is derived.  The arithmetic is
+        :meth:`CacheModel.pressure`, :meth:`CacheModel.miss_rate`,
+        :meth:`ContentionModel.per_request_rate` and
+        :meth:`progress_rate` inlined term for term, so the stored
+        values equal theirs bit for bit.
+        """
+        cache = self.cache
+        capacity = cache.capacity
+        if capacity <= 0:
+            raise ValueError("cache capacity must be positive")
+        # "if not x > 0.0: x = 0.0" gives max(0.0, x) for every x, -0.0
+        # and NaN included, and "if not x < 1.0: x = 1.0" min(1.0, x);
+        # the builtin calls took nearly half of this method's time
+        pressure = (
+            self._ws_runnable_kb
+            + self.blocked_in_working_set * self._ws_blocked_kb
+            + self.queue_in_working_set * self._ws_queued_kb
+        ) / capacity - 1.0
+        if not pressure > 0.0:
+            pressure = 0.0
+        base = cache.base_miss_rate
+        miss = base + (cache.max_miss_rate - base) * pressure / (
+            pressure + cache.knee
+        )
+        self._pressure = pressure
+        self._miss = miss
+        n = self._runnable + self._bg_active
+        if n == 0:
+            rate = 0.0
+        else:
+            contention = self.contention
+            cores = contention.cores
+            share = cores / n
+            if not share < 1.0:
+                share = 1.0
+            excess = n - cores if n > cores else 0
+            efficiency = 1.0 / (1.0 + contention.cs_overhead * excess)
+            rate = (
+                self.spec.speed_factor
+                * (share * efficiency)
+                / (1.0 + miss * self.miss_stall_factor)
+            )
+        self._rate = rate
+        heap = self._phase_heap
+        if not heap:
+            if self._completion_event is not None:
+                self._completion_event.cancel()
+                self._completion_event = None
             return
-        if self._rate <= 0:
+        if rate <= 0:
             raise RuntimeError("active phases with zero progress rate")
-        head = self._phase_heap[0][0]
-        delay = max(0.0, (head - self._virtual) / self._rate)
-        self._completion_event = self.sim.schedule(delay, self._fire)
+        delay = (heap[0][0] - self._virtual) / rate
+        if not delay > 0.0:
+            delay = 0.0
+        self._completion_event = self.sim.reschedule(
+            self._completion_event, delay, self._fire
+        )
 
     def _fire(self) -> None:
         """Complete every phase whose virtual mark has been reached."""

@@ -127,6 +127,8 @@ INTERACTIONS: Dict[str, Request] = {
     ]
 }
 
+_REQUESTS: Tuple[Request, ...] = tuple(INTERACTIONS.values())
+
 BROWSE_INTERACTIONS: Tuple[str, ...] = tuple(
     name for name, r in INTERACTIONS.items() if r.category == BROWSE
 )
@@ -196,6 +198,12 @@ class TrafficMix:
             "order_weights",
             _normalized(self.order_weights, ORDER_INTERACTIONS),
         )
+        # the normalized CDF Generator.choice would build on every draw;
+        # not a field, so asdict, equality and cache keys ignore it
+        probs = self.probabilities()
+        cdf = np.array([probs[n] for n in INTERACTIONS], dtype=float).cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
 
     # ------------------------------------------------------------------
     def probabilities(self) -> Dict[str, float]:
@@ -212,11 +220,13 @@ class TrafficMix:
         return probs
 
     def sample(self, rng: np.random.Generator) -> Request:
-        """Draw one interaction i.i.d. from the mix."""
-        names = list(INTERACTIONS)
-        probs = self.probabilities()
-        idx = rng.choice(len(names), p=[probs[n] for n in names])
-        return INTERACTIONS[names[idx]]
+        """Draw one interaction i.i.d. from the mix.
+
+        The same draw, value and generator state as
+        ``rng.choice(14, p=...)``, which searches one ``random()`` in
+        this CDF.
+        """
+        return _REQUESTS[self._cdf.searchsorted(rng.random(), side="right")]
 
     # ------------------------------------------------------------------
     def mean_demands(self) -> Dict[str, float]:
@@ -337,11 +347,11 @@ class MarkovSessionModel:
     # ------------------------------------------------------------------
     def first(self, rng: np.random.Generator) -> Request:
         """Entry page of a new session."""
-        return INTERACTIONS["home"] if rng.uniform() < 0.5 else self.mix.sample(rng)
+        return INTERACTIONS["home"] if rng.random() < 0.5 else self.mix.sample(rng)
 
     def next(self, current: Request, rng: np.random.Generator) -> Request:
         """Next interaction after ``current``."""
-        if rng.uniform() < self.continuity:
+        if rng.random() < self.continuity:
             follow = _FLOW_EDGES.get(current.name)
             if follow is not None:
                 return INTERACTIONS[follow]

@@ -11,6 +11,7 @@ saturation point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Union
@@ -80,19 +81,31 @@ def save_trace(
 
 
 def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
-    """Read records written by :func:`save_trace`."""
+    """Read records written by :func:`save_trace`.
+
+    ``json`` accepts ``NaN`` and ``Infinity``; a record with a
+    non-finite time raises :class:`ValueError` naming its line, since a
+    replay would schedule it at that time.
+    """
     records = []
     with Path(path).open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             data = json.loads(line)
+            submit_time = float(data["submit_time"])
+            finish_time = float(data["finish_time"])
+            if not (math.isfinite(submit_time) and math.isfinite(finish_time)):
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite time "
+                    f"(submit_time={submit_time}, finish_time={finish_time})"
+                )
             records.append(
                 TraceRecord(
                     interaction=data["interaction"],
-                    submit_time=float(data["submit_time"]),
-                    finish_time=float(data["finish_time"]),
+                    submit_time=submit_time,
+                    finish_time=finish_time,
                     dropped=bool(data["dropped"]),
                 )
             )

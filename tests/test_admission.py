@@ -10,6 +10,7 @@ and observability toggling changing decisions.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.control.admission import AdmissionController, AimdGate
@@ -370,3 +371,18 @@ class TestLegacyParity:
         assert new_probs == legacy_probs
         # the scenario must actually exercise the multiplicative path
         assert any(state for state, _ in new_states)
+
+
+class TestAdmitDrawAgainstReference:
+    def test_admit_equals_uniform_reference(self):
+        """One ``random()`` per request: the same values and generator
+        state as the ``uniform()`` draw it replaced."""
+        for seed in range(5):
+            gate = AimdGate(seed=seed)
+            ref = np.random.default_rng(seed)
+            levels = np.random.default_rng(100 + seed).uniform(0.0, 1.0, 1000)
+            for level in [0.0, 1.0, *levels]:
+                gate.admission_probability = float(level)
+                assert gate.admit() == (not ref.uniform() > level)
+            assert gate.state_dict()["rng"] == ref.bit_generator.state
+            assert gate.stats.offered == 1002

@@ -1,5 +1,6 @@
 """Tests for the open-loop source and class-based differentiation."""
 
+import numpy as np
 import pytest
 
 from repro.control.differentiation import ClassDifferentiator
@@ -72,6 +73,27 @@ class TestClassDifferentiator:
         site = MultiTierWebsite(sim, AppServer(sim), DatabaseServer(sim))
         meter = mini_pipeline.meter(HPC_LEVEL)
         return sim, site, ClassDifferentiator(sim, site, meter, seed=9)
+
+    def test_submit_draw_equals_uniform_reference(self, gate):
+        """One ``random()`` per request: the same values and generator
+        state as the ``uniform()`` draw it replaced."""
+        _, _, differentiator = gate
+        ref = np.random.default_rng(9)
+        differentiator.admission[BROWSE] = 0.3
+        differentiator.admission[ORDER] = 0.8
+        names = list(INTERACTIONS)
+        dropped = []
+        expected = []
+        for i in range(600):
+            request = INTERACTIONS[names[i % len(names)]]
+            if ref.uniform() > differentiator.admission[request.category]:
+                expected.append(i)
+            differentiator.submit(
+                request,
+                lambda outcome, i=i: outcome.dropped and dropped.append(i),
+            )
+        assert dropped == expected
+        assert differentiator._rng.bit_generator.state == ref.bit_generator.state
 
     def test_parameter_validation(self, mini_pipeline):
         sim = Simulator()

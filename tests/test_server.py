@@ -1,7 +1,10 @@
 """Unit tests for the tier server and its processor-sharing core."""
 
+import numpy as np
 import pytest
 
+from repro.simulator.appserver import AppServer
+from repro.simulator.database import DatabaseServer
 from repro.simulator.engine import Simulator
 from repro.simulator.resources import CacheModel, ContentionModel
 from repro.simulator.server import HardwareSpec, Job, TierServer
@@ -295,3 +298,175 @@ class TestAccounting:
         assert sample.throughput == 0.0
         assert sample.mean_service_time == 0.0
         assert sample.mean_queue_wait == 0.0
+
+
+class _ReferencePSCore:
+    """The processor-sharing core before the rate was derived once per
+    state change: ``_advance`` calls the cache model on every event and
+    ``_resync`` cancels the completion and schedules a new one each time.
+    Mixed in ahead of a tier class, it is what the production core must
+    equal bit for bit."""
+
+    def _advance(self):
+        now = self.sim.now
+        dt = now - self._last_advance
+        if dt <= 0:
+            return
+        n = self.runnable
+        busy_cores = min(n, self.spec.cores)
+        self._int_core_busy += busy_cores * dt
+        self._int_runnable += n * dt
+        self._int_blocked += self._blocked * dt
+        self._int_threads += self.pool.in_use * dt
+        self._int_queue += self.pool.queue_length * dt
+        ws = self.working_set_kb()
+        self._int_miss_rate += self.cache.miss_rate(ws) * dt
+        self._int_pressure += self.cache.pressure(ws) * dt
+        if n > 0 and self._rate > 0:
+            progress = self._rate * dt
+            self._virtual += progress
+            self._work_done += progress * self._runnable
+            self._background_work += progress * self._bg_active
+        self._last_advance = now
+
+    def _resync(self):
+        self._rate = self.progress_rate()
+        if self._completion_event is not None:
+            self._completion_event.cancel()
+            self._completion_event = None
+        if not self._phase_heap:
+            return
+        if self._rate <= 0:
+            raise RuntimeError("active phases with zero progress rate")
+        head = self._phase_heap[0][0]
+        delay = max(0.0, (head - self._virtual) / self._rate)
+        self._completion_event = self.sim.schedule(delay, self._fire)
+
+
+class _ReferenceApp(_ReferencePSCore, AppServer):
+    pass
+
+
+class _ReferenceDb(_ReferencePSCore, DatabaseServer):
+    pass
+
+
+#: (production tier, reference tier, constructor arguments): a 1-core
+#: L2 that only runnable threads fill, and a 2-core buffer pool that
+#: queued and blocked queries fill too; small pools so requests queue
+TIER_PAIRS = {
+    "app": (AppServer, _ReferenceApp, {"workers": 6, "queue_capacity": 4}),
+    "db": (DatabaseServer, _ReferenceDb, {"connections": 4}),
+}
+
+#: exact binary fractions, so completions and arrivals tie often
+_WAITS = (0.0, 0.0625, 0.125, 0.25)
+_DEMANDS = (0.0, 0.015625, 0.03125, 0.0625, 0.125)
+
+
+def _check_derived(server):
+    """The values ``_resync`` stored are the models' for the live state."""
+    ws = server.working_set_kb()
+    assert server._pressure == server.cache.pressure(ws)
+    assert server._miss == server.cache.miss_rate(ws)
+    assert server._rate == server.progress_rate()
+
+
+def _drive(server_cls, kwargs, seed, *, check=None, until=12.0):
+    """Run a seeded script of submit, run_phase, run_background, finish
+    and sample; return (samples, log of (what, job, time), events run)."""
+    sim = Simulator()
+    server = server_cls(sim, **kwargs)
+    rng = np.random.default_rng(seed)
+    capacity = server.cache.capacity
+    samples, log = [], []
+
+    def call(method, *args, **kw):
+        result = method(*args, **kw)
+        if check is not None:
+            check(server)
+        return result
+
+    def draw(values):
+        return values[int(rng.integers(0, len(values)))]
+
+    def later(action):
+        sim.schedule(draw(_WAITS), action)
+
+    def phase_done(session):
+        log.append(("phase", session.job.kind, sim.now))
+        if rng.random() < 0.4:
+            later(lambda: call(server.run_phase, session, draw(_DEMANDS), phase_done))
+        else:
+            later(lambda: finish(session))
+
+    def finish(session):
+        call(server.finish, session)
+        log.append(("finish", session.job.kind, sim.now))
+
+    def admitted(session):
+        log.append(("admit", session.job.kind, sim.now))
+        if rng.random() < 0.7:
+            call(server.run_phase, session, draw(_DEMANDS), phase_done)
+        else:
+            later(lambda: call(server.run_phase, session, draw(_DEMANDS), phase_done))
+
+    def arrive(i):
+        job = Job(
+            demand=draw(_DEMANDS),
+            footprint_kb=capacity * float(rng.uniform(0.02, 0.4)),
+            kind=f"job{i}",
+        )
+        if call(server.submit, job, admitted) is None:
+            log.append(("dropped", job.kind, sim.now))
+
+    def background(i):
+        call(
+            server.run_background,
+            draw(_DEMANDS),
+            footprint_kb=capacity * float(rng.uniform(0.0, 0.1)),
+            on_done=lambda: log.append(("background", f"bg{i}", sim.now)),
+        )
+
+    t = 0.0
+    for i in range(int(until * 25)):
+        t += draw(_WAITS)
+        sim.schedule_at(t, lambda i=i: arrive(i))
+        if i % 7 == 0:
+            sim.schedule_at(t, lambda i=i: background(i))
+    sim.every(0.5, lambda: samples.append(call(server.sample)))
+    sim.run(until=until)
+    samples.append(call(server.sample))
+    return samples, log, sim.events_executed
+
+
+class TestDeriveOnceAgainstReference:
+    @pytest.mark.parametrize("tier", sorted(TIER_PAIRS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_samples_and_completions_equal_reference(self, tier, seed):
+        production, reference, kwargs = TIER_PAIRS[tier]
+        samples, log, events = _drive(production, kwargs, seed)
+        ref_samples, ref_log, ref_events = _drive(reference, kwargs, seed)
+        assert len(samples) == len(ref_samples) == 25
+        for sample, ref in zip(samples, ref_samples):
+            assert sample == ref
+        assert log == ref_log
+        assert events == ref_events
+        kinds = {what for what, _, _ in log}
+        assert {"admit", "phase", "finish", "background"} <= kinds
+
+    @pytest.mark.parametrize("tier", sorted(TIER_PAIRS))
+    def test_stored_rate_matches_models_after_every_step(self, tier):
+        production, _, kwargs = TIER_PAIRS[tier]
+        samples, _, _ = _drive(production, kwargs, 5, check=_check_derived)
+        # the script reaches cache pressure and queueing
+        assert max(s.cache_pressure_avg for s in samples) > 0.0
+        assert max(s.queue_avg for s in samples) > 0.0
+
+    def test_fresh_tier_holds_idle_miss_rate(self, sim):
+        server = make_server(
+            sim, cache=CacheModel(capacity=64.0, base_miss_rate=0.05)
+        )
+        _check_derived(server)
+        sim.run(until=2.0)
+        assert server.sample().miss_rate_avg == pytest.approx(0.05)

@@ -1,5 +1,7 @@
 """Unit tests for the TPC-W workload model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.workload.tpcw import (
     SHOPPING_MIX,
     STANDARD_MIXES,
     TrafficMix,
+    _FLOW_EDGES,
     make_unknown_mix,
 )
 
@@ -160,3 +163,108 @@ class TestMarkovSessionModel:
         model = MarkovSessionModel(SHOPPING_MIX)
         for _ in range(20):
             assert model.first(rng).name in INTERACTIONS
+
+
+def _choice_reference(mix, rng):
+    """The draw before the CDF was kept: ``Generator.choice`` over the 14
+    interactions with the mix's probabilities, rebuilt on every call."""
+    names = list(INTERACTIONS)
+    probs = mix.probabilities()
+    return INTERACTIONS[names[rng.choice(len(names), p=[probs[n] for n in names])]]
+
+
+def _first_reference(model, rng):
+    return (
+        INTERACTIONS["home"]
+        if rng.uniform() < 0.5
+        else _choice_reference(model.mix, rng)
+    )
+
+
+def _next_reference(model, current, rng):
+    if rng.uniform() < model.continuity:
+        follow = _FLOW_EDGES.get(current.name)
+        if follow is not None:
+            return INTERACTIONS[follow]
+    return _choice_reference(model.mix, rng)
+
+
+class _FixedDraw:
+    """Stands in for a generator whose ``random()`` returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+#: the standard mixes, two unknown mixes and a copy; shopping's and
+#: unknown-19's probabilities sum to one ulp off 1.0
+DRAW_MIXES = [
+    BROWSING_MIX,
+    SHOPPING_MIX,
+    ORDERING_MIX,
+    make_unknown_mix(seed=7),
+    make_unknown_mix(seed=19),
+    ORDERING_MIX.with_browse_fraction(0.6),
+]
+
+
+class TestDrawsAgainstReference:
+    @pytest.mark.parametrize("mix", DRAW_MIXES, ids=lambda m: m.name)
+    def test_sample_equals_choice_draw_for_draw(self, mix):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            for _ in range(2000):
+                assert mix.sample(rng) is _choice_reference(mix, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("mix", DRAW_MIXES, ids=lambda m: m.name)
+    def test_sample_cuts_where_choice_cuts(self, mix):
+        """Draws at and beside every CDF step land where choice's
+        normalized CDF puts them, up to the largest draw below 1."""
+        names = list(INTERACTIONS)
+        probs = mix.probabilities()
+        cdf = np.array([probs[n] for n in names]).cumsum()
+        cdf /= cdf[-1]  # as Generator.choice builds it
+        draws = {0.0, float(np.nextafter(1.0, 0.0))}
+        for step in cdf:
+            for u in (np.nextafter(step, 0.0), step, np.nextafter(step, 1.0)):
+                if u < 1.0:
+                    draws.add(float(u))
+        for u in sorted(draws):
+            expected = names[int(cdf.searchsorted(u, side="right"))]
+            assert mix.sample(_FixedDraw(u)) is INTERACTIONS[expected]
+
+    def test_kept_cdf_is_not_a_field(self):
+        mix = make_unknown_mix(seed=7)
+        assert [f.name for f in dataclasses.fields(mix)] == [
+            "name", "browse_fraction", "browse_weights", "order_weights"
+        ]
+        assert set(dataclasses.asdict(mix)) == {
+            "name", "browse_fraction", "browse_weights", "order_weights"
+        }
+        assert mix == make_unknown_mix(seed=7)
+        assert mix != make_unknown_mix(seed=8)
+
+    @pytest.mark.parametrize("mix", DRAW_MIXES[:4], ids=lambda m: m.name)
+    @pytest.mark.parametrize("continuity", [0.0, 0.3, 0.9])
+    def test_session_walk_equals_uniform_reference(self, mix, continuity):
+        model = MarkovSessionModel(mix, continuity=continuity)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            current = model.first(rng)
+            expected = _first_reference(model, ref)
+            assert current is expected
+            for step in range(1500):
+                if step % 50 == 0:
+                    current = model.first(rng)
+                    expected = _first_reference(model, ref)
+                else:
+                    current = model.next(current, rng)
+                    expected = _next_reference(model, expected, ref)
+                assert current is expected
+            assert rng.bit_generator.state == ref.bit_generator.state

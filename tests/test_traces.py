@@ -61,6 +61,29 @@ class TestPersistence:
         assert load_trace(path) == [record]
 
 
+class TestNonFiniteTimes:
+    """``json`` parses NaN and Infinity; a replay would schedule them."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("submit_time", "NaN"), ("finish_time", "Infinity"),
+         ("submit_time", "-Infinity")],
+    )
+    def test_non_finite_time_rejected_with_line(self, tmp_path, field, value):
+        path = tmp_path / "trace.jsonl"
+        save_trace([TraceRecord("home", 0.0, 0.1, False)] * 2, path)
+        lines = path.read_text().splitlines()
+        lines.insert(1, "")
+        lines[2] = lines[2].replace(
+            f'"{field}": {0.0 if field == "submit_time" else 0.1}',
+            f'"{field}": {value}',
+        )
+        assert value in lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"trace\.jsonl:3: non-finite"):
+            load_trace(path)
+
+
 class TestReplayer:
     def test_replay_preserves_arrival_spacing(self, recorded_trace):
         sim = Simulator()
