@@ -47,12 +47,18 @@ slo-check:
 
 # the serving benchmark's output checks on both fleets and on the
 # simulated-traffic sites: every window decided, none held or degraded,
-# sharded signatures equal to single-process ones; the exit code gates,
-# timings do not
+# sharded signatures equal to single-process ones; then `repro serve`
+# with the benchmark's meter, stacked fold against the per-site loop,
+# must print the same decisions; the exit codes gate, timings do not
 perfbench-check:
 	python3 perfbench/run.py --workload fleet-recorded --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload fleet-sharded --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload serve-live --seed 1 --seconds 5 --trace 0
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 4 --scale 0.2 --meter .bench_build/meter.json > .bench_build/serve-fleet.txt
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 4 --scale 0.2 --meter .bench_build/meter.json --no-fleet > .bench_build/serve-per-site.txt
+	grep -v '^#' .bench_build/serve-fleet.txt > .bench_build/serve-fleet.decisions
+	grep -v '^#' .bench_build/serve-per-site.txt > .bench_build/serve-per-site.decisions
+	diff .bench_build/serve-fleet.decisions .bench_build/serve-per-site.decisions
 
 examples:
 	$(PYTHON) examples/quickstart.py 0.2
@@ -64,5 +70,5 @@ examples:
 
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks .repro-cache htmlcov .coverage
-	find benchmarks/results -type f ! -name baselines.json -delete 2>/dev/null || true
+	find benchmarks/results -type f ! -name baselines.json ! -name trajectory.json -delete 2>/dev/null || true
 	find . -name __pycache__ -type d -exec rm -rf {} +

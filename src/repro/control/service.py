@@ -26,14 +26,16 @@ per-site quorum path.
 
 With ``use_fleet=True`` (the default) the remaining per-site Python
 loops collapse into the structure-of-arrays
-:class:`~repro.control.fleet.FleetState` backend: coordinator tables
-and PI moments live in stacked arrays (each site's objects hold views),
-per-tick fold work is shared per distinct record object, clean windows
-decide in one vectorized pass per flush wave, and AIMD gates move via
+:class:`~repro.control.fleet.FleetState` backend: coordinator tables,
+PI moments and every stacked site's in-progress window live in stacked
+arrays, each tick's deliveries fold for all sites in a few numpy
+operations (in replay and live mode alike), clean windows decide in one
+vectorized pass per flush wave, and AIMD gates move via
 :meth:`~repro.control.admission.AimdGate.update_many`.  Degraded
-windows and schema-drifted sites drop to the per-site path mid-stream;
-because both paths operate on the same memory, every decision stays
-bit-identical to ``use_fleet=False`` (pinned in ``tests/test_fleet.py``).
+deliveries and schema-drifted sites drop to the per-site path
+mid-stream; because both paths produce the same state, every decision
+stays bit-identical to ``use_fleet=False`` (pinned in
+``tests/test_fleet.py``).
 
 Checkpoint/resume reuses :mod:`repro.faults.checkpoint`: a service
 manifest (format tag, tick count, gate states, and — since format v2 —
@@ -173,9 +175,11 @@ class SiteRuntime:
         self.index = 0
         #: windows folded this tick, awaiting the batched decide pass
         self.pending: List[StreamingWindow] = []
-        #: when set (fleet fold), delivered records queue here instead
-        #: of folding immediately, so the service can group identical
-        #: record objects across sites and fold them vectorized
+        #: with the fleet backend, deliveries queue here instead of
+        #: folding at once: the service folds a whole tick's deliveries
+        #: for every site together (``_fold_captured``) once they are
+        #: all in — after the pushes in replay mode, in the flush timer
+        #: in live mode
         self._capture: Optional[List[IntervalRecord]] = None
         self.injector: Optional[FaultInjector] = None
         self.watchdog: Optional[SamplerWatchdog] = None
@@ -308,6 +312,8 @@ class CapacityService:
                 [site.monitor for site in self.sites],
                 handle=self.handle,
             )
+            for site in self.sites:
+                site._capture = []
 
     def _add_site(
         self,
@@ -440,9 +446,10 @@ class CapacityService:
         use_fleet = self.fleet is not None
         if use_fleet:
             assert self.fleet is not None
-            # materialize every monitor's own state (cohorts share reps)
-            # before the old fleet's arrays are abandoned
-            self.fleet.dissolve()
+            # write stacked fold state into every monitor before the old
+            # fleet's arrays are abandoned; the new fleet restacks each
+            # site at its next window boundary
+            self.fleet.sync()
             self.fleet = None
         template: Optional[CapacityMeter] = None
         for site in self.sites:
@@ -460,9 +467,6 @@ class CapacityService:
             self.drift.notify_swap()
         if use_fleet:
             self._init_fleet(True)
-            if self._flush_timer is not None and self.fleet is not None:
-                # live mode folds per site (see attach())
-                self.fleet.dissolve()
         if OBS.enabled:
             OBS.inc(
                 "repro_meter_swaps_total",
@@ -490,34 +494,43 @@ class CapacityService:
             # boundary window has decided, the next hasn't folded yet
             self._maybe_install_swap()
         self.ticks += 1
-        if self.fleet is not None and not OBS.enabled:
-            try:
-                for site in self.sites:
-                    site._capture = []
-                for site in self.sites:
-                    site.offer(record)
-                self._fold_tick_fleet()
-            finally:
-                for site in self.sites:
-                    site._capture = None
-        else:
-            if self.fleet is not None:
-                # instrumented pushes fold per site: cohort-pooled fold
-                # state must be materialized and unpooled first
-                self.fleet.dissolve()
-            for site in self.sites:
-                site.offer(record)
+        for site in self.sites:
+            site.offer(record)
+        self._fold_captured()
         return self._flush()
 
+    def _fold_captured(self) -> None:
+        """Fold the deliveries the sites captured since the last call.
+
+        With ``repro.obs`` on every fold is instrumented, so the tick
+        folds per site, after the fleet writes its stacked state back.
+        """
+        if self.fleet is None:
+            return
+        try:
+            if not OBS.enabled:
+                self._fold_tick_fleet()
+                return
+            self.fleet.detach_all()
+            for site in self.sites:
+                for record in site._capture or ():
+                    window = site.monitor.fold(record)
+                    if window is not None:
+                        site.pending.append(window)
+        finally:
+            for site in self.sites:
+                if site._capture:
+                    site._capture.clear()
+
     def _fold_tick_fleet(self) -> None:
-        """Fold this tick's captured deliveries through the fleet.
+        """Fold one tick's captured deliveries through the fleet.
 
         Fault paths may deliver 0, 1 or 2 records per site per tick
         (drops / duplicates), so deliveries are consumed position by
         position: at each position, sites holding *the same record
-        object* (the common case — injector-less sites all receive the
-        producer's record untouched) fold as one group with a single
-        row extraction and one vectorized PI update.
+        object* (replayed records reach every injector-less site
+        untouched) are grouped, and the fleet folds the whole position
+        at once, gathering each distinct record object once.
         """
         assert self.fleet is not None
         position = 0
@@ -535,8 +548,7 @@ class CapacityService:
                     entry[1].append(site)
             if not groups:
                 return
-            for delivered, members in groups.values():
-                self.fleet.fold_group(delivered, members)
+            self.fleet.fold_position(list(groups.values()))
             position += 1
 
     def replay(
@@ -548,7 +560,7 @@ class CapacityService:
             decisions.extend(self.push(record))
         if self.fleet is not None:
             # leave every monitor individually readable (state_dict,
-            # counters) — cohort members materialize from their reps
+            # counters): stacked fold state goes back into each one
             self.fleet.sync()
         return decisions
 
@@ -568,18 +580,16 @@ class CapacityService:
 
         One sampler per site streams into that site's fault path; a
         single flush timer (registered *after* the samplers, so it runs
-        last at each shared timestamp) drives the batched decide pass.
-        Each sampler synthesizes only the metric levels its site reads
+        last at each shared timestamp) folds the tick's deliveries —
+        with the fleet backend they were captured, so every site folds
+        at once — and drives the batched decide pass.  Each sampler
+        synthesizes only the metric levels its site reads
         (:attr:`SiteRuntime.levels`); meter swaps keep the level, so the
         set holds for the service's lifetime.
         """
         missing = [s.name for s in self.sites if s.name not in websites]
         if missing:
             raise ValueError(f"no website for sites {missing}")
-        if self.fleet is not None:
-            # live samplers deliver straight into each site's fault
-            # path (per-site folds): end cohort-pooled folding first
-            self.fleet.dissolve()
         for site in self.sites:
             self._samplers.append(
                 TelemetrySampler(
@@ -604,15 +614,22 @@ class CapacityService:
         return GatedFrontEnd(sim, self.site(name).gate, website)
 
     def stop(self) -> None:
-        """Stop live sampling and the flush timer."""
+        """Stop live sampling and the flush timer.
+
+        Every monitor is left individually readable (``state_dict``,
+        counters): stacked fold state goes back into each one.
+        """
         if self._flush_timer is not None:
             self._flush_timer.cancel()
             self._flush_timer = None
         for sampler in self._samplers:
             sampler.stop()
         self._samplers = []
+        if self.fleet is not None:
+            self.fleet.sync()
 
     def _on_tick(self) -> None:
+        self._fold_captured()
         if self.handle.pending is not None:
             # folds never touch the coordinator, so installing before
             # this tick's flush (but after the boundary tick's) keeps
@@ -634,7 +651,7 @@ class CapacityService:
             return []
         votes: List[Optional[Tuple[int, ...]]] = [None] * len(pending)
         if self.batch_votes:
-            # a cohort-shared window appears once per member site:
+            # a window the fleet shares appears once per site: its
             # eligibility and votes are pure functions of the window,
             # so compute them once per distinct object
             eligibility: Dict[int, bool] = {}
@@ -828,8 +845,8 @@ class CapacityService:
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
         if self.fleet is not None:
-            # checkpoints read each monitor's own state: materialize
-            # cohort members before serializing
+            # checkpoints read each monitor's own state: write the
+            # stacked fold state back before serializing
             self.fleet.sync()
             layout = "fleet"
             save_fleet_checkpoint(

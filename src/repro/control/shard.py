@@ -227,7 +227,7 @@ def _shard_replay_chunk(
 
 
 def _shard_sync() -> int:
-    """Materialize cohort members (mirrors ``replay``'s final sync)."""
+    """Write stacked fold state back (mirrors ``replay``'s final sync)."""
     service = _shard()
     if service.fleet is not None:
         service.fleet.sync()
@@ -1560,7 +1560,7 @@ class ShardedCapacityService:
         return target
 
     def sync(self) -> None:
-        """Materialize cohort members on every live shard."""
+        """Write stacked fold state back into every live shard's monitors."""
         self._call_live(_shard_sync, lambda worker: ())
 
     def gate_states(self) -> Dict[str, Dict[str, Any]]:

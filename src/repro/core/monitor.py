@@ -359,24 +359,6 @@ class OnlineCapacityMonitor:
             self.counters.partial_ticks += 1
         return self.aggregator.push(record)
 
-    def fold_prepared(
-        self, record: IntervalRecord, prepared
-    ) -> Optional[StreamingWindow]:
-        """Fold one record whose metric rows were extracted fleet-wide.
-
-        The fleet backend (:class:`~repro.control.fleet.FleetState`)
-        extracts each distinct record's per-tier rows once, updates the
-        PI moments vectorized across all member sites (this monitor's
-        trackers are views into that array), and hands each member the
-        shared :class:`~repro.telemetry.streaming.PreparedRecord`.  The
-        caller guarantees the record is complete for both the tracked
-        PI definitions and this aggregator's schema, so the partial /
-        skipped-update counters stay untouched — exactly as
-        :meth:`fold` leaves them on a complete record.
-        """
-        self.counters.ticks += 1
-        return self.aggregator.push_prepared(record, prepared)
-
     def _held_prediction(self) -> CoordinatedPrediction:
         """The quorum-failure fallback: last decision, decayed.
 

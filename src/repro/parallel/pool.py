@@ -28,8 +28,8 @@ traffic must land on the worker that holds its sites.
 Payloads cross the pipes as :data:`pickle.HIGHEST_PROTOCOL` blobs via
 ``send_bytes`` (measurably faster than ``Connection.send``'s default
 protocol for numpy-heavy payloads), and pickle's per-``dumps``
-memoization means objects shared within one task result — e.g. cohort
-windows shared by many decisions — are serialized once.
+memoization means objects shared within one task result — e.g. one
+window shared by many sites' decisions — are serialized once.
 
 Supervision
 -----------

@@ -46,7 +46,6 @@ from ..simulator.website import WebsiteSample
 from .sampler import IntervalRecord, TelemetryError, WindowStats, metric_row
 
 __all__ = [
-    "PreparedRecord",
     "RunningCorrelation",
     "StreamingWindow",
     "StreamingWindowAggregator",
@@ -165,27 +164,6 @@ class StreamingWindow:
     quality: Optional[WindowQuality] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class PreparedRecord:
-    """One record's per-tier metric rows, extracted once for a fleet.
-
-    When many aggregators with identical schemas fold the *same* record
-    object (the multi-site service's clean cohort), the per-attribute
-    dict walk in :meth:`StreamingWindowAggregator.push` is pure
-    duplicated work.  :meth:`StreamingWindowAggregator.prepare` performs
-    it once — against one member's schema — and every member whose
-    schema :meth:`~StreamingWindowAggregator.accepts` the result folds
-    the shared rows through
-    :meth:`~StreamingWindowAggregator.push_prepared`, bit-identical to
-    a regular push of the same (complete) record.
-
-    ``tiers`` maps tier name to ``(names, row)``: the attribute order
-    the row was extracted in and the extracted float64 values.
-    """
-
-    tiers: Dict[str, Tuple[List[str], np.ndarray]]
-
-
 class _TierAccumulator:
     """Per-tier metric-row buffer (+ validity mask) for one window."""
 
@@ -281,6 +259,10 @@ class StreamingWindowAggregator:
         self.windows_emitted = 0
         #: bounded raw-record tail for debugging
         self.recent: Deque[IntervalRecord] = deque(maxlen=retain_records)
+        # FleetState (control/fleet.py) keeps the fill, counters and
+        # window state below as stacked arrays while a site folds on
+        # its stack and writes them back field by field: a field added
+        # here must be added there too.
         # high-level window accumulators (same sequential order as
         # aggregate_window's sums, so the emitted stats are identical);
         # stats cover *all* website tiers, like aggregate_window, even
@@ -413,94 +395,6 @@ class StreamingWindowAggregator:
             return None
         return self._emit()
 
-    # ------------------------------------------------------------------
-    # fleet-shared fold fast path
-    # ------------------------------------------------------------------
-    def prepare(self, record: IntervalRecord) -> Optional[PreparedRecord]:
-        """Extract a record's rows against this aggregator's schema.
-
-        Returns ``None`` when the record is not a *clean fit* — a
-        configured tier has no accumulator yet (schema still unknown),
-        the record lacks a tier, or a tier's attribute set differs from
-        the schema in any way (missing attribute, or an unknown extra
-        that the lenient path would grow the schema for).  Those cases
-        must take the regular :meth:`push` path, which owns masking and
-        schema growth.
-        """
-        rows: Dict[str, Tuple[List[str], np.ndarray]] = {}
-        for tier in self.tiers:
-            acc = self._acc.get(tier)
-            if acc is None:
-                return None
-            try:
-                metrics = record.metrics(self.level, tier)
-            except KeyError:
-                return None
-            names = acc.names
-            if len(metrics) != len(names):
-                return None
-            try:
-                row = np.array(
-                    [metrics[name] for name in names], dtype=float
-                )
-            except KeyError:
-                return None
-            rows[tier] = (names, row)
-        return PreparedRecord(tiers=rows)
-
-    def accepts(self, prepared: PreparedRecord) -> bool:
-        """Can :meth:`push_prepared` fold this extraction verbatim?
-
-        True only when every configured tier has an accumulator whose
-        attribute order matches the extraction's — sites whose schemas
-        diverged (e.g. an attribute grew mid-stream after a fault) fall
-        back to the regular path.
-        """
-        for tier in self.tiers:
-            acc = self._acc.get(tier)
-            if acc is None:
-                return False
-            entry = prepared.tiers.get(tier)
-            if entry is None:
-                return False
-            names = entry[0]
-            if acc.names is not names and acc.names != names:
-                return False
-        return True
-
-    def push_prepared(
-        self, record: IntervalRecord, prepared: PreparedRecord
-    ) -> Optional[StreamingWindow]:
-        """Fold one record from pre-extracted rows; emit on completion.
-
-        Callers must have verified :meth:`accepts`; the rows land in the
-        ring buffer exactly as the lenient per-attribute loop would
-        write them for the same complete record, so the emitted window
-        is bit-for-bit identical.
-        """
-        if self._fill == 0:
-            self._reset_window(record.website)
-        fill = self._fill
-        for tier in self.tiers:
-            acc = self._acc[tier]
-            acc.ring[fill] = prepared.tiers[tier][1]
-            acc.valid[fill] = True
-        for tier, sample in record.website.tiers.items():
-            self._util_sum[tier] += sample.utilization
-            self._queue_sum[tier] += sample.queue_avg
-        client = record.website.client
-        self._submitted += client.submitted
-        self._completed += client.completed
-        self._dropped += client.dropped
-        self._response_time_sum += client.response_time_sum
-        self._t_end = record.t_end
-        self.ticks_seen += 1
-        self._fill += 1
-        self.recent.append(record)
-        if self._fill < self.window:
-            return None
-        return self._emit()
-
     def _emit(self) -> StreamingWindow:
         t0 = OBS.clock() if OBS.enabled else None
         metrics: Dict[str, Dict[str, float]] = {}
@@ -595,43 +489,6 @@ class StreamingWindowAggregator:
                 cache[3].inc()
             OBS.observe_span("window_emit", OBS.clock() - t0)
         return emitted
-
-    def copy_state_from(self, other: "StreamingWindowAggregator") -> None:
-        """Become a bit-exact replica of ``other``'s fold state.
-
-        The fleet backend folds each record once per *cohort* of
-        state-identical sites (the representative's aggregator) and
-        materializes the other members from it on divergence or
-        checkpoint — this is that materialization.  Configuration
-        (``window``, ``level``, ``tiers``) is not copied; callers
-        guarantee it already matches.
-        """
-        if self.window != other.window:
-            raise ValueError(
-                "cannot copy state across aggregators with different "
-                f"windows ({self.window} vs {other.window})"
-            )
-        self._fill = other._fill
-        self.ticks_seen = other.ticks_seen
-        self.windows_emitted = other.windows_emitted
-        self._t_start = other._t_start
-        self._t_end = other._t_end
-        self._submitted = other._submitted
-        self._completed = other._completed
-        self._dropped = other._dropped
-        self._response_time_sum = other._response_time_sum
-        self._util_sum = dict(other._util_sum)
-        self._queue_sum = dict(other._queue_sum)
-        self._workers = dict(other._workers)
-        acc_copy: Dict[str, _TierAccumulator] = {}
-        for tier, acc in other._acc.items():
-            clone = _TierAccumulator(list(acc.names), self.window)
-            np.copyto(clone.ring, acc.ring)
-            np.copyto(clone.valid, acc.valid)
-            acc_copy[tier] = clone
-        self._acc = acc_copy
-        if self.recent.maxlen:
-            self.recent = deque(other.recent, maxlen=self.recent.maxlen)
 
     # ------------------------------------------------------------------
     # checkpointing

@@ -30,7 +30,13 @@ from repro.faults import (
     fresh_monitor,
 )
 from repro.faults.checkpoint import load_fleet_checkpoint
-from repro.telemetry.sampler import HPC_LEVEL
+from repro.telemetry.persistence import load_run, run_to_dict
+from repro.telemetry.sampler import (
+    HPC_LEVEL,
+    HYBRID_LEVEL,
+    OS_LEVEL,
+    MeasurementRun,
+)
 
 #: dropout plus a mid-stream database stall — the canonical degraded
 #: scenario, identical to tests/test_service.py
@@ -40,6 +46,25 @@ FAULTY_PLAN = FaultPlan(
         FaultSpec(kind="dropout", probability=0.2),
         FaultSpec(kind="stall", tier="db", start=40, end=41),
     ),
+)
+
+
+#: one counter lost now and then: the site leaves the fleet's stacked
+#: fold on a lossy tick and rejoins at the next window boundary
+SPARSE_PLAN = FaultPlan(
+    seed=4,
+    faults=(
+        FaultSpec(
+            kind="dropout", tier="db", attributes=("ipc",), probability=0.15
+        ),
+    ),
+)
+
+#: counter spikes in the first five ticks only: records that differ
+#: from the clean sites' but keep every attribute
+CORRUPT_EARLY = FaultPlan(
+    seed=5,
+    faults=(FaultSpec(kind="corrupt", probability=0.5, start=0, end=5),),
 )
 
 
@@ -71,6 +96,11 @@ def specs_for(kind):
             SiteSpec(name="a", seed=1, plan=FAULTY_PLAN),
             SiteSpec(name="b", seed=2, plan=FAULTY_PLAN),
         ]
+    if kind == "sparse":
+        return [
+            SiteSpec(name="clean", seed=1),
+            SiteSpec(name="sparse", seed=2, plan=SPARSE_PLAN),
+        ]
     return [
         SiteSpec(name="clean", seed=1),
         SiteSpec(name="faulty", seed=2, plan=FAULTY_PLAN),
@@ -78,7 +108,9 @@ def specs_for(kind):
 
 
 class TestFleetParity:
-    @pytest.mark.parametrize("stream", ["clean", "degraded", "mixed"])
+    @pytest.mark.parametrize(
+        "stream", ["clean", "degraded", "mixed", "sparse"]
+    )
     @pytest.mark.parametrize("adapt", [False, True])
     def test_fleet_bit_identical_to_per_site(
         self, meter, records, stream, adapt
@@ -113,6 +145,29 @@ class TestFleetParity:
             )
             assert a.gate.state_dict() == b.gate.state_dict()
 
+    @pytest.mark.parametrize("level", [OS_LEVEL, HYBRID_LEVEL])
+    def test_other_meter_levels_bit_identical(
+        self, mini_pipeline, records, level
+    ):
+        """os and hybrid meters stack too; their PI definitions read
+        hpc counters outside the stacked rows."""
+        meter = mini_pipeline.meter(level)
+        specs = specs_for("mixed")
+        fleet = CapacityService(meter, specs, use_fleet=True)
+        scalar = CapacityService(
+            meter, specs, use_fleet=False, batch_votes=False
+        )
+        fleet_decisions = fleet.replay(records)
+        scalar_decisions = scalar.replay(records)
+        assert fleet.fleet._pi_extra
+        for spec in specs:
+            assert site_signature(
+                fleet_decisions, spec.name
+            ) == site_signature(scalar_decisions, spec.name)
+            assert canon(fleet.site(spec.name).monitor.state_dict()) == canon(
+                scalar.site(spec.name).monitor.state_dict()
+            )
+
     def test_fleet_state_shares_memory_with_sites(self, meter, records):
         """The per-site coordinators must hold live views of the
         stacked arrays, so either path writes the other's state."""
@@ -140,6 +195,135 @@ class TestFleetParity:
     def test_needs_at_least_one_monitor(self):
         with pytest.raises(ValueError, match="at least one"):
             FleetState([])
+
+
+class TestEmissionSharing:
+    def test_windows_shared_only_where_bit_identical(
+        self, meter, records, monkeypatch
+    ):
+        """Stacked sites that complete on the same record object share
+        one window object only when the windows are bit-identical: a
+        site whose earlier records were corrupted (a clean fit, so it
+        stays stacked) gets its own."""
+        specs = [
+            SiteSpec(name="a", seed=1),
+            SiteSpec(name="b", seed=2),
+            SiteSpec(name="c", seed=3, plan=CORRUPT_EARLY),
+        ]
+        emitted = {}
+
+        def capture(service):
+            original = service._flush
+
+            def flush():
+                for site in service.sites:
+                    for window in site.pending:
+                        emitted.setdefault(id(service), []).append(
+                            (site.name, window)
+                        )
+                return original()
+
+            monkeypatch.setattr(service, "_flush", flush)
+            return service
+
+        fleet = capture(CapacityService(meter, specs))
+        scalar = capture(
+            CapacityService(meter, specs, use_fleet=False, batch_votes=False)
+        )
+        fleet.replay(records[:40])
+        scalar.replay(records[:40])
+        ours, theirs = emitted[id(fleet)], emitted[id(scalar)]
+        assert [(name, canon(w.metrics), w.stats, w.index) for name, w in ours] == [
+            (name, canon(w.metrics), w.stats, w.index) for name, w in theirs
+        ]
+        first = {name: window for name, window in ours if window.index == 0}
+        assert first["a"] is first["b"]
+        assert first["c"] is not first["a"]
+        assert first["c"].metrics != first["a"].metrics
+
+
+def edited_run(records, tmp_path, edit, at=(12,)):
+    """``records`` through a saved run file, record payloads ``at``
+    changed by ``edit`` first: what a loaded run can carry."""
+    run = MeasurementRun(workload="edited", interval=1.0, records=list(records))
+    # a copy: the payload shares the records' metric dicts
+    payload = json.loads(json.dumps(run_to_dict(run)))
+    for k in at:
+        edit(payload["records"][k])
+    path = tmp_path / "edited-run.json"
+    path.write_text(json.dumps(payload))
+    return load_run(path).records
+
+
+def nan_run(records, tmp_path, metric):
+    """One record's app ``metric`` reads ``NaN``: ``json`` parses it."""
+
+    def edit(item):
+        item["hpc"]["app"][metric] = float("nan")
+
+    loaded = edited_run(records, tmp_path, edit)
+    assert np.isnan(loaded[12].hpc["app"][metric])
+    return loaded
+
+
+class TestNanPiInput:
+    """PI moments keep the per-site trackers' NaN behaviour: Python's
+    ``max`` keeps the old maximum on a NaN sample, and a NaN cost
+    divides to NaN rather than counting as a zero cost."""
+
+    @pytest.mark.parametrize("metric", ["ipc", "l2_miss_rate"])
+    def test_nan_yield_or_cost_matches_per_site(
+        self, meter, records, tmp_path, metric
+    ):
+        stream = nan_run(records[:40], tmp_path, metric)
+        specs = specs_for("clean")
+        fleet = CapacityService(meter, specs, use_fleet=True)
+        scalar = CapacityService(
+            meter, specs, use_fleet=False, batch_votes=False
+        )
+        fleet_decisions = fleet.replay(stream)
+        scalar_decisions = scalar.replay(stream)
+        for spec in specs:
+            assert site_signature(
+                fleet_decisions, spec.name
+            ) == site_signature(scalar_decisions, spec.name)
+            a = fleet.site(spec.name).monitor.state_dict()
+            b = scalar.site(spec.name).monitor.state_dict()
+            assert canon(a) == canon(b)
+            # the running maxima stay finite: the NaN sample is skipped
+            pi = {
+                (item["tier"], item["cost_metric"]): item["state"]
+                for item in a["pi"]
+            }
+            assert np.isfinite(pi[("app", "l2_miss_rate")]["max_abs_x"])
+
+
+class TestOutsideCounts:
+    """Client counts the stacked sums cannot hold as the per-site sums
+    do — a float, or ints whose window sum leaves int64 — fold per
+    site."""
+
+    @pytest.mark.parametrize(
+        "count", [12.0, 2**62], ids=["float", "beyond-int64-sum"]
+    )
+    def test_counts_match_per_site(self, meter, records, tmp_path, count):
+        def edit(item):
+            item["client"]["submitted"] = count
+
+        stream = edited_run(records[:40], tmp_path, edit, at=(12, 13))
+        assert type(stream[12].website.client.submitted) is type(count)
+        specs = specs_for("clean")
+        fleet = CapacityService(meter, specs, use_fleet=True)
+        scalar = CapacityService(
+            meter, specs, use_fleet=False, batch_votes=False
+        )
+        assert [repr(d) for d in fleet.replay(stream)] == [
+            repr(d) for d in scalar.replay(stream)
+        ]
+        for spec in specs:
+            assert canon(fleet.site(spec.name).monitor.state_dict()) == canon(
+                scalar.site(spec.name).monitor.state_dict()
+            )
 
 
 class TestSeedSubstreams:

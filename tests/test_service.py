@@ -13,6 +13,8 @@ whole-service checkpoint/resume.  The key invariants pinned here:
   bit, gates included.
 """
 
+import json
+
 import pytest
 
 from repro.control import CapacityService, SiteSpec
@@ -22,6 +24,8 @@ from repro.faults import (
     decision_signature,
     fresh_monitor,
 )
+from repro.faults.checkpoint import save_fleet_checkpoint
+from repro.obs import OBS, MetricsRegistry
 from repro.simulator import (
     AppServer,
     DatabaseServer,
@@ -394,6 +398,132 @@ class TestLiveLevels:
             faults=(FaultSpec(kind="dropout", tier="app", level=OS_LEVEL),)
         )
         assert tiered_os.levels == {OS_LEVEL}
+
+
+#: lost and late-duplicated records: 0 or 2 deliveries on some ticks
+LOSSY_PLAN = FaultPlan(
+    seed=9,
+    faults=(
+        FaultSpec(kind="drop_record", probability=0.1),
+        FaultSpec(kind="duplicate_record", probability=0.1),
+    ),
+)
+
+PARITY_SPECS = LIVE_SPECS + (SiteSpec(name="lossy", seed=4, plan=LOSSY_PLAN),)
+
+
+def attach_with_front_ends(service):
+    """``attach_busy_sites`` that also returns websites and front ends,
+    so a resumed service can take over the same simulation."""
+    sim = Simulator()
+    websites, fronts = {}, {}
+    for site in service.sites:
+        website = MultiTierWebsite(sim, AppServer(sim), DatabaseServer(sim))
+        websites[site.name] = website
+        fronts[site.name] = service.front_end(sim, site.name, website)
+        rbe = RemoteBrowserEmulator(
+            sim,
+            fronts[site.name],
+            ORDERING_MIX,
+            think_time_mean=0.5,
+            seed=site.spec.seed,
+        )
+        rbe.set_population(40)
+    service.attach(sim, websites)
+    return sim, websites, fronts
+
+
+def live_campaign(meter, directory, *, use_fleet, adapt):
+    """Serve ``PARITY_SPECS`` live through observability on and off, a
+    mid-window checkpoint, a resume and a meter swap.
+
+    Returns the resumed service and every ``(site, decision)``.
+    """
+    decisions = []
+    options = dict(
+        adapt=adapt,
+        use_fleet=use_fleet,
+        batch_votes=use_fleet,
+        on_decision=lambda name, d: decisions.append((name, d)),
+    )
+    service = CapacityService(meter, list(PARITY_SPECS), **options)
+    sim, websites, fronts = attach_with_front_ends(service)
+    sim.run(until=5.5)
+    OBS.enable(registry=MetricsRegistry())
+    try:
+        sim.run(until=13.5)
+    finally:
+        OBS.reset()
+    sim.run(until=2 * MINI_WINDOW + 4.5)  # mid-window
+    service.save(directory)
+    if not use_fleet:
+        # the fleet layout's file too, so the two runs' files compare
+        save_fleet_checkpoint(
+            [(site.name, site.monitor) for site in service.sites],
+            directory / "fleet.monitor.json",
+        )
+    service.stop()
+    del options["adapt"]
+    resumed = CapacityService.resume(
+        directory, list(PARITY_SPECS), labeler=meter.labeler, **options
+    )
+    for name, front in fronts.items():
+        front.gate = resumed.site(name).gate
+    resumed.attach(sim, websites)
+    sim.run(until=3 * MINI_WINDOW + 3.5)
+    resumed.swap_meter(meter)
+    sim.run(until=7 * MINI_WINDOW + 0.5)
+    resumed.stop()
+    return resumed, decisions
+
+
+class TestLiveFleetParity:
+    """Live mode folds every site's tick on the fleet's stack; decisions,
+    run-local state, tables, gates and a mid-window checkpoint equal the
+    per-site loop's, through observability on and off, a resume and a
+    meter swap, on clean, faulty and lossy sites."""
+
+    @pytest.mark.parametrize("adapt", [False, True])
+    def test_attach_matches_per_site_loop(self, meter, tmp_path, adapt):
+        fleet, fleet_decisions = live_campaign(
+            meter, tmp_path / "fleet", use_fleet=True, adapt=adapt
+        )
+        scalar, scalar_decisions = live_campaign(
+            meter, tmp_path / "scalar", use_fleet=False, adapt=adapt
+        )
+        assert fleet.fleet is not None and scalar.fleet is None
+        assert len(fleet_decisions) == len(scalar_decisions) > 0
+        for spec in PARITY_SPECS:
+            assert site_signature(
+                fleet_decisions, spec.name
+            ) == site_signature(scalar_decisions, spec.name)
+            a = fleet.site(spec.name)
+            b = scalar.site(spec.name)
+            assert json.dumps(a.monitor.state_dict()) == json.dumps(
+                b.monitor.state_dict()
+            )
+            assert (
+                a.monitor.meter.coordinator.table_state()
+                == b.monitor.meter.coordinator.table_state()
+            )
+            assert a.gate.state_dict() == b.gate.state_dict()
+        # the checkpoint went down mid-window, into the same bytes
+        saved = (tmp_path / "fleet" / "fleet.monitor.json").read_bytes()
+        assert saved == (tmp_path / "scalar" / "fleet.monitor.json").read_bytes()
+        states = json.loads(saved)["states"]
+        assert states[0]["aggregator"]["fill"] == 4
+        manifests = [
+            json.loads((tmp_path / side / "service.json").read_text())
+            for side in ("fleet", "scalar")
+        ]
+        assert [m.pop("layout") for m in manifests] == ["fleet", "per-site"]
+        assert manifests[0] == manifests[1]
+        # after the swap the clean sites folded back onto the stack
+        assert fleet.meter_version == 2
+        assert fleet.fleet._stacked[fleet.site("clean").index]
+        lossy = fleet.site("lossy").injector.counters.as_dict()
+        assert lossy == scalar.site("lossy").injector.counters.as_dict()
+        assert lossy["records_dropped"] and lossy["records_duplicated"]
 
 
 class TestServeCli:
