@@ -45,20 +45,25 @@ slo-check:
 	$(PYTHON) benchmarks/run_http_slo.py --rps 200 --duration 10
 	$(PYTHON) benchmarks/compare_baselines.py --only http --time-tolerance 2.0
 
-# the serving benchmark's output checks on both fleets and on the
-# simulated-traffic sites: every window decided, none held or degraded,
-# sharded signatures equal to single-process ones; then `repro serve`
-# with the benchmark's meter, stacked fold against the per-site loop,
-# must print the same decisions; the exit codes gate, timings do not
+# the serving benchmark's output checks on both fleets, on the
+# simulated-traffic sites and on serve-http: every window decided, none
+# held or degraded, sharded signatures equal to single-process ones;
+# then `repro serve` with the benchmark's meter must print the same
+# decisions stacked (16 sites in one process) as per site (4 sites per
+# worker), and in one process as across workers; the exit codes gate,
+# timings do not
 perfbench-check:
 	python3 perfbench/run.py --workload fleet-recorded --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload fleet-sharded --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload serve-live --seed 1 --seconds 5 --trace 0
-	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 4 --scale 0.2 --meter .bench_build/meter.json > .bench_build/serve-fleet.txt
-	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 4 --scale 0.2 --meter .bench_build/meter.json --no-fleet > .bench_build/serve-per-site.txt
-	grep -v '^#' .bench_build/serve-fleet.txt > .bench_build/serve-fleet.decisions
-	grep -v '^#' .bench_build/serve-per-site.txt > .bench_build/serve-per-site.decisions
-	diff .bench_build/serve-fleet.decisions .bench_build/serve-per-site.decisions
+	python3 perfbench/run.py --workload http-admit --seed 1 --seconds 5 --trace 0
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 16 --scale 0.2 --meter .bench_build/meter.json > .bench_build/serve-16-stacked.txt
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 16 --scale 0.2 --meter .bench_build/meter.json --workers 4 > .bench_build/serve-16-per-site.txt
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 4 --scale 0.2 --meter .bench_build/meter.json > .bench_build/serve-4.txt
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 4 --scale 0.2 --meter .bench_build/meter.json --workers 4 > .bench_build/serve-4-workers.txt
+	for run in serve-16-stacked serve-16-per-site serve-4 serve-4-workers; do grep -v '^#' .bench_build/$$run.txt > .bench_build/$$run.decisions; done
+	diff .bench_build/serve-16-stacked.decisions .bench_build/serve-16-per-site.decisions
+	diff .bench_build/serve-4.decisions .bench_build/serve-4-workers.decisions
 
 examples:
 	$(PYTHON) examples/quickstart.py 0.2

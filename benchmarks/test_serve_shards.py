@@ -67,9 +67,7 @@ def test_serve_sharded_throughput(record_result):
     assert len(records) == WINDOW * WINDOWS_PER_SITE
     specs = [SiteSpec(name=f"site{i}", seed=i) for i in range(SITES)]
 
-    fleet = CapacityService(
-        meter, specs, labeler=pipeline.labeler, use_fleet=True
-    )
+    fleet = CapacityService(meter, specs, labeler=pipeline.labeler)
     start = time.perf_counter()
     fleet_decisions = fleet.replay(records)
     fleet_s = time.perf_counter() - start

@@ -134,18 +134,22 @@ def _resolve_mix(name: str):
     )
 
 
+def _schedule(profile: str, mix, config: TestbedConfig, scale: float):
+    """The load schedule a ``--profile`` names."""
+    if profile == "training":
+        return training_schedule(mix, config, scale=scale)
+    if profile == "test":
+        return steady_test_schedule(mix, config, scale=scale)
+    return stress_schedule(mix, config, scale=scale)
+
+
 # ----------------------------------------------------------------------
 # subcommand implementations
 # ----------------------------------------------------------------------
 def cmd_simulate(args: argparse.Namespace) -> int:
     mix = _resolve_mix(args.mix)
     config = TestbedConfig()
-    if args.profile == "training":
-        schedule = training_schedule(mix, config, scale=args.scale)
-    elif args.profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=args.scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=args.scale)
+    schedule = _schedule(args.profile, mix, config, args.scale)
     output = run_schedule(
         schedule,
         mix,
@@ -283,12 +287,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         )
         meter = pipeline.meter(args.level)
     config = TestbedConfig()
-    if args.profile == "training":
-        schedule = training_schedule(mix, config, scale=args.scale)
-    elif args.profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=args.scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=args.scale)
+    schedule = _schedule(args.profile, mix, config, args.scale)
 
     sim = Simulator()
     app = AppServer(sim, workers=config.app_workers)
@@ -676,14 +675,18 @@ def _print_drift_events(controller, printed: int) -> int:
     return printed
 
 
-def _serve_shard_factory(service, mix_name: str, profile: str, scale: float):
-    """Build one shard's simulator inside its worker process.
+def _serve_sites(service, mix_name: str, profile: str, scale: float):
+    """Simulate every site of ``service`` and attach the service to it.
 
-    Runs via :meth:`~repro.control.shard.ShardedCapacityService.attach_factory`
-    with the shard's own :class:`~repro.control.service.CapacityService`:
-    every site gets the same website/traffic stack ``repro serve``
-    builds single-process, seeded from its own spec, so a site's
-    telemetry stream does not depend on which shard hosts it.
+    Per site: an app server, a database, a website, an RBE behind the
+    site's gated front end and a driver of the ``profile`` schedule,
+    seeded from the site's own spec.  Returns ``(simulator, schedule
+    duration)``.  ``repro serve`` and ``serve-http`` call it in this
+    process; with ``--workers`` each worker calls it on its shard's own
+    :class:`~repro.control.service.CapacityService` via
+    :meth:`~repro.control.shard.ShardedCapacityService.attach_factory`,
+    so a site's telemetry stream does not depend on which shard hosts
+    it.
     """
     from .simulator import (
         AppServer,
@@ -696,12 +699,7 @@ def _serve_shard_factory(service, mix_name: str, profile: str, scale: float):
 
     mix = _resolve_mix(mix_name)
     config = TestbedConfig()
-    if profile == "training":
-        schedule = training_schedule(mix, config, scale=scale)
-    elif profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=scale)
+    schedule = _schedule(profile, mix, config, scale)
     sim = Simulator()
     websites = {}
     for site in service.sites:
@@ -757,7 +755,6 @@ def _cmd_serve_sharded(args: argparse.Namespace, meter, labeler, specs) -> int:
             specs,
             workers=args.workers,
             labeler=labeler,
-            use_fleet=not args.no_fleet,
             allow_subset=args.allow_subset,
             **supervise,
         )
@@ -772,7 +769,6 @@ def _cmd_serve_sharded(args: argparse.Namespace, meter, labeler, specs) -> int:
             specs,
             workers=args.workers,
             labeler=labeler,
-            use_fleet=not args.no_fleet,
             **supervise,
         )
     controller = None
@@ -781,7 +777,7 @@ def _cmd_serve_sharded(args: argparse.Namespace, meter, labeler, specs) -> int:
         controller = _drift_controller(args, service)
     with service, _graceful_signals() as interrupted:
         duration = service.attach_factory(
-            _serve_shard_factory, args.mix, args.profile, args.scale
+            _serve_sites, args.mix, args.profile, args.scale
         )
         config = TestbedConfig()
         # one slice per checkpoint period (one window's worth of ticks
@@ -855,19 +851,19 @@ def _cmd_serve_sharded(args: argparse.Namespace, meter, labeler, specs) -> int:
     return 0
 
 
+def _check_process_faults(args: argparse.Namespace) -> None:
+    if args.process_faults and args.workers == 0:
+        raise SystemExit(
+            "--process-faults needs --workers: process chaos targets "
+            "the sharded fabric's worker processes"
+        )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from .control.service import CapacityService, SiteSpec
     from .core.monitor import MonitorDecision
-    from .simulator import (
-        AppServer,
-        DatabaseServer,
-        MultiTierWebsite,
-        Simulator,
-    )
-    from .workload.generator import ScheduleDriver
-    from .workload.rbe import RemoteBrowserEmulator
 
-    mix = _resolve_mix(args.mix)
+    _resolve_mix(args.mix)  # reject a bad mix before training
     if args.sites < 1:
         raise SystemExit("--sites must be at least 1")
     if args.workers < 0:
@@ -876,11 +872,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--checkpoint-every must be at least 1 window")
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint")
-    if args.process_faults and args.workers == 0:
-        raise SystemExit(
-            "--process-faults needs --workers: process chaos targets "
-            "the sharded fabric's worker processes"
-        )
+    _check_process_faults(args)
     if args.max_respawns < 0:
         raise SystemExit("--max-respawns must be non-negative")
     if args.supervise_ticks < 0:
@@ -901,13 +893,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         meter = pipeline.meter(args.level)
         labeler = pipeline.labeler
-    config = TestbedConfig()
-    if args.profile == "training":
-        schedule = training_schedule(mix, config, scale=args.scale)
-    elif args.profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=args.scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=args.scale)
 
     specs = [
         SiteSpec(
@@ -939,7 +924,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             args.checkpoint,
             specs,
             labeler=labeler,
-            use_fleet=not args.no_fleet,
             allow_subset=args.allow_subset,
             on_decision=show,
         )
@@ -953,7 +937,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             meter,
             specs,
             labeler=labeler,
-            use_fleet=not args.no_fleet,
             on_decision=show,
         )
     if args.checkpoint:
@@ -970,29 +953,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         service.on_decision = checkpointing
 
-    sim = Simulator()
-    websites = {}
-    for spec in specs:
-        app = AppServer(sim, workers=config.app_workers)
-        db = DatabaseServer(sim, connections=config.db_connections)
-        website = MultiTierWebsite(sim, app, db)
-        websites[spec.name] = website
-        rbe = RemoteBrowserEmulator(
-            sim,
-            service.front_end(sim, spec.name, website),
-            mix,
-            think_time_mean=config.think_time_mean,
-            continuity=config.continuity,
-            seed=spec.seed,
-        )
-        ScheduleDriver(sim, rbe, schedule)
-    service.attach(
-        sim,
-        websites,
-        interval=config.sampling_interval,
-        hpc_noise=config.hpc_noise,
-        os_noise=config.os_noise,
-    )
+    sim, duration = _serve_sites(service, args.mix, args.profile, args.scale)
     controller = None
     drift_printed = 0
     if args.retrain_on_drift:
@@ -1001,10 +962,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # advance in slices so an operator SIGINT/SIGTERM lands between
         # slices and still gets a final checkpoint (event-driven sim:
         # sliced run == one run to the same instant)
-        slice_seconds = config.sampling_interval * 50
+        slice_seconds = TestbedConfig().sampling_interval * 50
         now = 0.0
-        while now < schedule.duration and interrupted() is None:
-            now = min(now + slice_seconds, schedule.duration)
+        while now < duration and interrupted() is None:
+            now = min(now + slice_seconds, duration)
             sim.run(until=now)
             if controller is not None:
                 controller.step()
@@ -1045,14 +1006,6 @@ def _serve_http_backend(args, meter, labeler, specs):
     from .control.service import CapacityService
     from .control.shard import ShardedCapacityService
     from .faults.process import ProcessFaultPlan
-    from .simulator import (
-        AppServer,
-        DatabaseServer,
-        MultiTierWebsite,
-        Simulator,
-    )
-    from .workload.generator import ScheduleDriver
-    from .workload.rbe import RemoteBrowserEmulator
 
     config = TestbedConfig()
     slice_seconds = config.sampling_interval * 50
@@ -1065,7 +1018,6 @@ def _serve_http_backend(args, meter, labeler, specs):
             specs,
             workers=args.workers,
             labeler=labeler,
-            use_fleet=not args.no_fleet,
             recover=not args.no_recover,
             max_respawns=args.max_respawns,
             recv_timeout=args.recv_timeout,
@@ -1076,7 +1028,7 @@ def _serve_http_backend(args, meter, labeler, specs):
         if getattr(args, "retrain_on_drift", False):
             controller = _drift_controller(args, service)
         duration = service.attach_factory(
-            _serve_shard_factory, args.mix, args.profile, args.scale
+            _serve_sites, args.mix, args.profile, args.scale
         )
         state = {"now": 0.0, "printed": 0}
 
@@ -1107,52 +1059,18 @@ def _serve_http_backend(args, meter, labeler, specs):
 
         return service, tick, cleanup
 
-    mix = _resolve_mix(args.mix)
-    if args.profile == "training":
-        schedule = training_schedule(mix, config, scale=args.scale)
-    elif args.profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=args.scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=args.scale)
-    service = CapacityService(
-        meter,
-        specs,
-        labeler=labeler,
-        use_fleet=not args.no_fleet,
-    )
+    service = CapacityService(meter, specs, labeler=labeler)
     service.enable_snapshots()
-    sim = Simulator()
-    websites = {}
-    for spec in specs:
-        app = AppServer(sim, workers=config.app_workers)
-        db = DatabaseServer(sim, connections=config.db_connections)
-        website = MultiTierWebsite(sim, app, db)
-        websites[spec.name] = website
-        rbe = RemoteBrowserEmulator(
-            sim,
-            service.front_end(sim, spec.name, website),
-            mix,
-            think_time_mean=config.think_time_mean,
-            continuity=config.continuity,
-            seed=spec.seed,
-        )
-        ScheduleDriver(sim, rbe, schedule)
-    service.attach(
-        sim,
-        websites,
-        interval=config.sampling_interval,
-        hpc_noise=config.hpc_noise,
-        os_noise=config.os_noise,
-    )
+    sim, duration = _serve_sites(service, args.mix, args.profile, args.scale)
     controller = None
     if getattr(args, "retrain_on_drift", False):
         controller = _drift_controller(args, service)
     state = {"now": 0.0, "printed": 0}
 
     def tick() -> bool:
-        if state["now"] >= schedule.duration:
+        if state["now"] >= duration:
             return False
-        state["now"] = min(state["now"] + slice_seconds, schedule.duration)
+        state["now"] = min(state["now"] + slice_seconds, duration)
         sim.run(until=state["now"])
         if controller is not None:
             controller.step()
@@ -1191,6 +1109,7 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
         raise SystemExit("--sites must be at least 1")
     if args.workers < 0:
         raise SystemExit("--workers must be 0 (single process) or more")
+    _check_process_faults(args)
 
     labeler = SlaOracle()
     if args.meter:
@@ -1863,12 +1782,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the fleet instead of erroring on orphaned state",
     )
     serve.add_argument(
-        "--no-fleet",
-        action="store_true",
-        help="disable the vectorized structure-of-arrays fleet backend "
-        "(per-site loops; bit-identical decisions)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -1976,10 +1889,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--confidence-floor", type=float, default=0.75,
         help="decisions below this telemetry confidence hold the "
         "admission probability steady (default 0.75)",
-    )
-    serve_http.add_argument(
-        "--no-fleet", action="store_true",
-        help="disable the vectorized structure-of-arrays fleet backend",
     )
     serve_http.add_argument(
         "--workers", type=int, default=0,

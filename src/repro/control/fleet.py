@@ -55,9 +55,14 @@ interpreter loop, not the hardware, bounds throughput.
   back and keeps it stacked; state reads (``state_dict``, checkpoints)
   call it first.
 
+* The stack pays a fixed cost per tick (about 150 µs of numpy calls
+  on a 2-vCPU VM), which a few sites' own folds undercut.  So a fleet
+  of fewer than :data:`STACK_MIN_SITES` sites stacks no site: the
+  service folds and decides each site through its own monitor, on the
+  same shared tables and PI moments.
+
 Bit-identity with the per-site path is the hard constraint throughout
-and is pinned by ``tests/test_fleet.py`` the same way ``batch_votes``
-parity is pinned in ``tests/test_service.py``.
+and is pinned by ``tests/test_fleet.py``.
 """
 
 from __future__ import annotations
@@ -78,19 +83,27 @@ import numpy as np
 
 from ..core.coordinator import CoordinatedPrediction, Scheme
 from ..core.monitor import MonitorDecision, OnlineCapacityMonitor
+from ..obs import OBS
 from ..telemetry.dataset import OVERLOAD, UNDERLOAD
 from ..telemetry.sampler import IntervalRecord, WindowStats
 from ..telemetry.streaming import (
     StreamingWindow,
     WindowQuality,
     _TierAccumulator,
+    window_counters,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from ..drift.handle import MeterHandle
     from .service import SiteRuntime
 
-__all__ = ["FleetState"]
+__all__ = ["STACK_MIN_SITES", "FleetState"]
+
+#: the fewest sites whose fleet folds and decides on the stack.  Fold
+#: plus flush per tick on a 2-vCPU VM (docs/architecture.md §12): the
+#: per-site monitors were faster up to 9 sites, the stack from 12 up,
+#: and the two within noise at 10
+STACK_MIN_SITES = 10
 
 #: field order of one PI tracker's row in the stacked moment array
 _PI_FIELDS = (
@@ -196,9 +209,10 @@ class FleetState:
     shared decision function.  Construction re-points every
     coordinator's tables and every monitor's PI trackers at views of
     the stacked arrays; from then on either path may touch any site.
-    Every monitor whose aggregator sits on a window boundary joins the
-    stacked fold (see :meth:`fold_position`); the rest join at their
-    next boundary.
+    A fleet of at least :data:`STACK_MIN_SITES` monitors :attr:`stacks`:
+    every monitor whose aggregator sits on a window boundary joins the
+    stacked fold (see :meth:`fold_position`), the rest at their next
+    boundary.  A smaller fleet stacks no site.
 
     ``handle`` is the service's versioned
     :class:`~repro.drift.MeterHandle`.  The stacked tables are built
@@ -315,8 +329,11 @@ class FleetState:
         self._level = head.level
         self._fold_tiers = list(head.tiers)
         config = (head.window, head.level, tuple(head.tiers), head.lenient)
+        #: the size rule: does this fleet fold and decide on the stack?
+        self.stacks = len(self.monitors) >= STACK_MIN_SITES
         self._stackable = [
-            (a.window, a.level, tuple(a.tiers), a.lenient) == config
+            self.stacks
+            and (a.window, a.level, tuple(a.tiers), a.lenient) == config
             and a.recent.maxlen == 0
             and a._explicit_attributes is None
             for a in (monitor.aggregator for monitor in self.monitors)
@@ -355,6 +372,9 @@ class FleetState:
         self.tier_sums = np.zeros((n, 0, 2))
         #: per website tier: worker count at window start
         self.workers = np.zeros((n, 0), dtype=np.int64)
+        # cached metric handles, valid while OBS.registry is the same
+        # object
+        self._obs_cache: Optional[tuple] = None
         for i in range(n):
             if self._stackable[i]:
                 self._join(i)
@@ -516,17 +536,6 @@ class FleetState:
         for i, stacked in enumerate(self._stacked):
             if stacked:
                 self._write_back(i)
-
-    def detach_all(self) -> None:
-        """Write back and unstack every site (per-site folds follow).
-
-        The service calls this for ticks it folds per site — with
-        ``repro.obs`` on, every fold is instrumented.  Sites rejoin at
-        their next window boundary.
-        """
-        for i, stacked in enumerate(self._stacked):
-            if stacked:
-                self._detach(i)
 
     # ------------------------------------------------------------------
     # the stacked fold
@@ -813,6 +822,8 @@ class FleetState:
         per-site ``mean(axis=0)``), the stats elementwise, Python
         values via ``tolist()``.  Sites with bit-identical content
         share one window object, so votes run once per distinct window.
+        The streaming-window metrics count each site's window, as each
+        site's own aggregator would.
         """
         window = self._window
         index = self.windows_emitted[idx]
@@ -869,6 +880,12 @@ class FleetState:
             )
         for site, k in zip(sites, which.tolist()):
             site.pending.append(emitted[k])
+        if OBS.enabled:
+            cache = self._obs_cache
+            if cache is None or cache[0] is not OBS.registry:
+                cache = self._obs_cache = window_counters()
+            cache[1].inc(len(sites))
+            cache[2].inc(window * len(sites))
 
     def _distinct(
         self, idx: np.ndarray, src: np.ndarray, index: np.ndarray
@@ -942,10 +959,13 @@ class FleetState:
         fleet adapts) elementwise; per-site bookkeeping then lands via
         :meth:`~repro.core.coordinator.CoordinatedPredictor.commit_clean_votes`
         and
-        :meth:`~repro.core.monitor.OnlineCapacityMonitor.finish_fleet_decision`.
+        :meth:`~repro.core.monitor.OnlineCapacityMonitor.finish_fleet_decision`,
+        which emit each window's metrics; ``repro.obs`` times the call
+        as one ``fleet_decide`` span.
         """
         if not entries:
             return []
+        t0 = OBS.clock() if OBS.enabled else None
         idx = np.array([entry[0] for entry in entries], dtype=np.intp)
         vote_matrix = np.array(
             [entry[3] for entry in entries], dtype=np.int64
@@ -986,18 +1006,17 @@ class FleetState:
             bottleneck = None
             if state_b == OVERLOAD and bool(bpt_has_vote[b]):
                 bottleneck = self._tiers[int(bpt_argmax[b])]
-            predictions.append(
-                CoordinatedPrediction(
-                    state=state_b,
-                    bottleneck=bottleneck,
-                    gpv=int(gpv[b]),
-                    hc=float(hc[b]),
-                    confident=bool(confident[b]),
-                    synopsis_votes=tuple(int(v) for v in votes),
-                )
+            prediction = CoordinatedPrediction(
+                state=state_b,
+                bottleneck=bottleneck,
+                gpv=int(gpv[b]),
+                hc=float(hc[b]),
+                confident=bool(confident[b]),
+                synopsis_votes=tuple(int(v) for v in votes),
             )
+            predictions.append(prediction)
             monitor.meter.coordinator.commit_clean_votes(
-                votes, int(hist[b])
+                prediction, int(hist[b])
             )
             truth = int(monitor.labeler(window.stats))
             truths[b] = truth
@@ -1028,9 +1047,12 @@ class FleetState:
         shifted = self.history[idx, gpv]
         self.history[idx, gpv] = (shifted & ~1) | truths
 
-        return [
+        decisions = [
             monitor.finish_fleet_decision(
                 window, predictions[b], int(truths[b]), truth_bottlenecks[b]
             )
             for b, (_, monitor, window, _) in enumerate(entries)
         ]
+        if t0 is not None:
+            OBS.observe_span("fleet_decide", OBS.clock() - t0)
+        return decisions

@@ -12,38 +12,34 @@ history and online adaptation — clones are made through
 scenarios replay per site exactly as ``repro faults`` replays them for
 one.
 
-Synopsis inference is *batched across sites*: each tick every site
-folds its record (:meth:`OnlineCapacityMonitor.fold`), and when windows
-complete the service stacks the clean windows' attribute rows into one
-matrix per tier synopsis and calls
+Synopsis inference is *batched across sites*: when windows complete,
+the service stacks the clean windows' attribute rows into one matrix
+per tier synopsis and calls
 :meth:`~repro.core.synopsis.PerformanceSynopsis.predict_batch` once —
 valid because all clones share identical trained synopses (online
-adaptation touches only the coordinator tables).  Each site's
-:meth:`~repro.core.monitor.OnlineCapacityMonitor.decide` then consumes
-its precomputed vote vector, bit-identical to the per-site path
-(``batch_votes=False``); degraded windows always fall back to the
-per-site quorum path.
+adaptation touches only the coordinator tables).  Degraded windows
+always take the per-site quorum path.
 
-With ``use_fleet=True`` (the default) the remaining per-site Python
-loops collapse into the structure-of-arrays
-:class:`~repro.control.fleet.FleetState` backend: coordinator tables,
-PI moments and every stacked site's in-progress window live in stacked
-arrays, each tick's deliveries fold for all sites in a few numpy
-operations (in replay and live mode alike), clean windows decide in one
-vectorized pass per flush wave, and AIMD gates move via
-:meth:`~repro.control.admission.AimdGate.update_many`.  Degraded
-deliveries and schema-drifted sites drop to the per-site path
-mid-stream; because both paths produce the same state, every decision
-stays bit-identical to ``use_fleet=False`` (pinned in
-``tests/test_fleet.py``).
+Every service keeps its coordinator tables and PI moments in the
+structure-of-arrays :class:`~repro.control.fleet.FleetState`.  How it
+folds and decides follows from its site count alone.  A service of at
+least :data:`~repro.control.fleet.STACK_MIN_SITES` sites folds each
+tick's deliveries for every stacked site in a few numpy operations (in
+replay and live mode alike) and decides clean windows in one
+vectorized pass per flush wave; degraded deliveries and schema-drifted
+sites drop to the per-site path mid-stream.  A smaller service folds
+and decides each site through its own monitor, which costs less there.
+Both paths produce the same state, so every decision is bit-identical
+whichever one runs (pinned in ``tests/test_fleet.py``), and
+``repro.obs`` only observes: it picks no path.
 
 Checkpoint/resume reuses :mod:`repro.faults.checkpoint`: a service
 manifest (format tag, tick count, gate states, and — since format v2 —
 fault-injector and watchdog state, so resumed campaigns replay their
-plans from where they stopped rather than from tick zero) plus either
-one monitor checkpoint per site or, when the fleet backend is active,
-one fleet-sharded file storing the shared meter template once.  All
-writes are atomic; v1 manifests are still read.
+plans from where they stopped rather than from tick zero) plus one
+fleet-sharded monitor file storing the shared meter template once.
+All writes are atomic; per-site monitor files and v1 manifests are
+still read.
 """
 
 from __future__ import annotations
@@ -74,7 +70,6 @@ from ..faults.checkpoint import (
     load_checkpoint,
     load_fleet_checkpoint,
     read_json_checkpoint,
-    save_checkpoint,
     save_fleet_checkpoint,
     write_json_atomic,
 )
@@ -175,12 +170,11 @@ class SiteRuntime:
         self.index = 0
         #: windows folded this tick, awaiting the batched decide pass
         self.pending: List[StreamingWindow] = []
-        #: with the fleet backend, deliveries queue here instead of
-        #: folding at once: the service folds a whole tick's deliveries
-        #: for every site together (``_fold_captured``) once they are
-        #: all in — after the pushes in replay mode, in the flush timer
-        #: in live mode
-        self._capture: Optional[List[IntervalRecord]] = None
+        #: deliveries queue here instead of folding at once: the service
+        #: folds a whole tick's deliveries for every site together
+        #: (``_fold_captured``) once they are all in — after the pushes
+        #: in replay mode, in the flush timer in live mode
+        self._capture: List[IntervalRecord] = []
         self.injector: Optional[FaultInjector] = None
         self.watchdog: Optional[SamplerWatchdog] = None
         if spec.plan is not None:
@@ -215,12 +209,7 @@ class SiteRuntime:
     def _deliver(self, record: IntervalRecord) -> None:
         if self.watchdog is not None:
             self.watchdog.observe(record)
-        if self._capture is not None:
-            self._capture.append(record)
-            return
-        window = self.monitor.fold(record)
-        if window is not None:
-            self.pending.append(window)
+        self._capture.append(record)
 
 
 class CapacityService:
@@ -246,8 +235,6 @@ class CapacityService:
         confidence_decay: float = 0.5,
         use_watchdog: bool = True,
         stall_ticks: int = 3,
-        batch_votes: bool = True,
-        use_fleet: bool = True,
         retain_decisions: Optional[int] = None,
         on_decision: Optional[Callable[[str, MonitorDecision], None]] = None,
     ) -> None:
@@ -255,7 +242,7 @@ class CapacityService:
             raise ValueError("CapacityService needs at least one site")
         if labeler is None:
             labeler = meter.labeler
-        self._init_base(batch_votes=batch_votes, on_decision=on_decision)
+        self._init_base(on_decision=on_decision)
         payload = meter.to_payload()  # serialize once, clone N times
         for spec in sites:
             monitor = fresh_monitor(
@@ -276,7 +263,7 @@ class CapacityService:
                 stall_ticks=stall_ticks,
             )
         self.handle = MeterHandle(meter)
-        self._init_fleet(use_fleet)
+        self._init_fleet()
 
     # ------------------------------------------------------------------
     # construction plumbing (shared with resume())
@@ -284,14 +271,11 @@ class CapacityService:
     def _init_base(
         self,
         *,
-        batch_votes: bool,
         on_decision: Optional[Callable[[str, MonitorDecision], None]],
     ) -> None:
         self.sites: List[SiteRuntime] = []
-        self.batch_votes = batch_votes
         self.on_decision = on_decision
         self.ticks = 0
-        self.fleet: Optional[FleetState] = None
         self._samplers: List[TelemetrySampler] = []
         self._flush_timer: Optional[Any] = None
         #: latest published FleetSnapshot; None until enable_snapshots()
@@ -305,15 +289,11 @@ class CapacityService:
         # enable_drift() re-arms the detector
         self._drift_manifest_state: Optional[Dict[str, Any]] = None
 
-    def _init_fleet(self, use_fleet: bool) -> None:
+    def _init_fleet(self) -> None:
         """Adopt all sites into the structure-of-arrays backend."""
-        if use_fleet:
-            self.fleet = FleetState(
-                [site.monitor for site in self.sites],
-                handle=self.handle,
-            )
-            for site in self.sites:
-                site._capture = []
+        self.fleet = FleetState(
+            [site.monitor for site in self.sites], handle=self.handle
+        )
 
     def _add_site(
         self,
@@ -443,14 +423,10 @@ class CapacityService:
         which mirrors what ``resume()`` does after restoring state, so
         a live swap is bit-identical to stop-retrain-restart.
         """
-        use_fleet = self.fleet is not None
-        if use_fleet:
-            assert self.fleet is not None
-            # write stacked fold state into every monitor before the old
-            # fleet's arrays are abandoned; the new fleet restacks each
-            # site at its next window boundary
-            self.fleet.sync()
-            self.fleet = None
+        # write stacked fold state into every monitor before the old
+        # fleet's arrays are abandoned; the new fleet restacks each
+        # site at its next window boundary
+        self.fleet.sync()
         template: Optional[CapacityMeter] = None
         for site in self.sites:
             clone = CapacityMeter.from_payload(
@@ -465,8 +441,7 @@ class CapacityService:
         self.handle.install(template, swap.version)
         if self.drift is not None:
             self.drift.notify_swap()
-        if use_fleet:
-            self._init_fleet(True)
+        self._init_fleet()
         if OBS.enabled:
             OBS.inc(
                 "repro_meter_swaps_total",
@@ -502,18 +477,19 @@ class CapacityService:
     def _fold_captured(self) -> None:
         """Fold the deliveries the sites captured since the last call.
 
-        With ``repro.obs`` on every fold is instrumented, so the tick
-        folds per site, after the fleet writes its stacked state back.
+        A stacking fleet folds them on the stack, timed by ``repro.obs``
+        as one ``fleet_fold`` span; a smaller one folds each site's
+        through its own monitor.
         """
-        if self.fleet is None:
-            return
         try:
-            if not OBS.enabled:
+            if self.fleet.stacks:
+                t0 = OBS.clock() if OBS.enabled else None
                 self._fold_tick_fleet()
+                if t0 is not None:
+                    OBS.observe_span("fleet_fold", OBS.clock() - t0)
                 return
-            self.fleet.detach_all()
             for site in self.sites:
-                for record in site._capture or ():
+                for record in site._capture:
                     window = site.monitor.fold(record)
                     if window is not None:
                         site.pending.append(window)
@@ -532,13 +508,12 @@ class CapacityService:
         untouched) are grouped, and the fleet folds the whole position
         at once, gathering each distinct record object once.
         """
-        assert self.fleet is not None
         position = 0
         while True:
             groups: Dict[int, Tuple[IntervalRecord, List[SiteRuntime]]] = {}
             for site in self.sites:
                 capture = site._capture
-                if capture is None or position >= len(capture):
+                if position >= len(capture):
                     continue
                 delivered = capture[position]
                 entry = groups.get(id(delivered))
@@ -558,10 +533,9 @@ class CapacityService:
         decisions: List[SiteDecision] = []
         for record in records:
             decisions.extend(self.push(record))
-        if self.fleet is not None:
-            # leave every monitor individually readable (state_dict,
-            # counters): stacked fold state goes back into each one
-            self.fleet.sync()
+        # leave every monitor individually readable (state_dict,
+        # counters): stacked fold state goes back into each one
+        self.fleet.sync()
         return decisions
 
     # ------------------------------------------------------------------
@@ -580,12 +554,11 @@ class CapacityService:
 
         One sampler per site streams into that site's fault path; a
         single flush timer (registered *after* the samplers, so it runs
-        last at each shared timestamp) folds the tick's deliveries —
-        with the fleet backend they were captured, so every site folds
-        at once — and drives the batched decide pass.  Each sampler
-        synthesizes only the metric levels its site reads
-        (:attr:`SiteRuntime.levels`); meter swaps keep the level, so the
-        set holds for the service's lifetime.
+        last at each shared timestamp) folds the tick's captured
+        deliveries for every site at once and drives the batched decide
+        pass.  Each sampler synthesizes only the metric levels its site
+        reads (:attr:`SiteRuntime.levels`); meter swaps keep the level,
+        so the set holds for the service's lifetime.
         """
         missing = [s.name for s in self.sites if s.name not in websites]
         if missing:
@@ -625,8 +598,7 @@ class CapacityService:
         for sampler in self._samplers:
             sampler.stop()
         self._samplers = []
-        if self.fleet is not None:
-            self.fleet.sync()
+        self.fleet.sync()
 
     def _on_tick(self) -> None:
         self._fold_captured()
@@ -642,6 +614,20 @@ class CapacityService:
     # the batched decide pass
     # ------------------------------------------------------------------
     def _flush(self) -> List[SiteDecision]:
+        """Decide every window folded since the last flush.
+
+        A site can complete more than one window per flush (duplicate
+        faults), so the pending list is split into *waves* — wave k
+        holds each site's k-th window — guaranteeing unique site rows
+        per vectorized :meth:`~repro.control.fleet.FleetState.decide_clean`
+        call.  Within a wave, clean windows decide with their batched
+        votes: on the stack when the fleet stacks, else through each
+        site's own monitor; degraded windows take the per-site quorum
+        path on the same shared tables.  Gates move per wave via
+        :meth:`~repro.control.admission.AimdGate.update_many`, and the
+        final emission loop keeps the canonical ``(site order, window
+        order)`` sequence.
+        """
         pending: List[Tuple[SiteRuntime, StreamingWindow]] = []
         for site in self.sites:
             for window in site.pending:
@@ -649,82 +635,7 @@ class CapacityService:
             site.pending = []
         if not pending:
             return []
-        votes: List[Optional[Tuple[int, ...]]] = [None] * len(pending)
-        if self.batch_votes:
-            # a window the fleet shares appears once per site: its
-            # eligibility and votes are pure functions of the window,
-            # so compute them once per distinct object
-            eligibility: Dict[int, bool] = {}
-            eligible: List[int] = []
-            for i, (_, window) in enumerate(pending):
-                flag = eligibility.get(id(window))
-                if flag is None:
-                    flag = eligibility[id(window)] = self._batch_eligible(
-                        window
-                    )
-                if flag:
-                    eligible.append(i)
-            if eligible:
-                unique: List[StreamingWindow] = []
-                slot: Dict[int, int] = {}
-                for i in eligible:
-                    key = id(pending[i][1])
-                    if key not in slot:
-                        slot[key] = len(unique)
-                        unique.append(pending[i][1])
-                batched = self._batched_votes(unique)
-                for i in eligible:
-                    votes[i] = batched[slot[id(pending[i][1])]]
-        if self.fleet is not None and not OBS.enabled:
-            return self._flush_fleet(pending, votes)
-        decisions: List[SiteDecision] = []
-        for (site, window), vote in zip(pending, votes):
-            if OBS.enabled:
-                t0 = OBS.clock()
-                decision = site.monitor.decide(window, votes=vote)
-                OBS.observe_span(
-                    f"site_decide.{site.name}", OBS.clock() - t0
-                )
-            else:
-                decision = site.monitor.decide(window, votes=vote)
-            site.gate.update(decision)
-            drifted = self._observe_drift(site.name, decision)
-            if self._publisher is not None:
-                self._publisher.update(
-                    site.name,
-                    decision,
-                    site.gate.admission_probability,
-                    drifted=drifted,
-                )
-            if self.on_decision is not None:
-                self.on_decision(site.name, decision)
-            decisions.append((site.name, decision))
-        if self._publisher is not None:
-            self.snapshot = self._publisher.publish(
-                self.ticks, meter_version=self.handle.version
-            )
-        return decisions
-
-    def _flush_fleet(
-        self,
-        pending: Sequence[Tuple["SiteRuntime", StreamingWindow]],
-        votes: Sequence[Optional[Tuple[int, ...]]],
-    ) -> List[SiteDecision]:
-        """Decide pending windows through the structure-of-arrays path.
-
-        A site can complete more than one window per flush (duplicate
-        faults), so the pending list is split into *waves* — wave k
-        holds each site's k-th window — guaranteeing unique site rows
-        per vectorized :meth:`~repro.control.fleet.FleetState.decide_clean`
-        call.  Within a wave, batch-eligible windows with precomputed
-        votes decide vectorized; degraded (or unbatched) windows take
-        the per-site quorum path on the same shared tables.  Gates move
-        per wave via
-        :meth:`~repro.control.admission.AimdGate.update_many`, and the
-        final emission loop preserves the per-site path's canonical
-        ``(site order, window order)`` sequence exactly.
-        """
-        assert self.fleet is not None
+        votes = self._pending_votes(pending)
         waves: List[List[int]] = []
         seen: Dict[int, int] = {}
         for k, (site, _) in enumerate(pending):
@@ -736,7 +647,7 @@ class CapacityService:
         decided: List[Optional[MonitorDecision]] = [None] * len(pending)
         for wave in waves:
             clean = [k for k in wave if votes[k] is not None]
-            if clean:
+            if clean and self.fleet.stacks:
                 fleet_decisions = self.fleet.decide_clean(
                     [
                         (
@@ -750,6 +661,10 @@ class CapacityService:
                 )
                 for k, decision in zip(clean, fleet_decisions):
                     decided[k] = decision
+            else:
+                for k in clean:
+                    site, window = pending[k]
+                    decided[k] = site.monitor.decide(window, votes=votes[k])
             for k in wave:
                 if votes[k] is None:
                     site, window = pending[k]
@@ -777,6 +692,37 @@ class CapacityService:
                 self.ticks, meter_version=self.handle.version
             )
         return decisions
+
+    def _pending_votes(
+        self, pending: Sequence[Tuple[SiteRuntime, StreamingWindow]]
+    ) -> List[Optional[Tuple[int, ...]]]:
+        """Batched synopsis votes per pending window; None if degraded.
+
+        A window the fleet shares appears once per site: its
+        eligibility and votes are pure functions of the window, so they
+        are computed once per distinct object.
+        """
+        votes: List[Optional[Tuple[int, ...]]] = [None] * len(pending)
+        eligibility: Dict[int, bool] = {}
+        eligible: List[int] = []
+        for i, (_, window) in enumerate(pending):
+            flag = eligibility.get(id(window))
+            if flag is None:
+                flag = eligibility[id(window)] = self._batch_eligible(window)
+            if flag:
+                eligible.append(i)
+        if eligible:
+            unique: List[StreamingWindow] = []
+            slot: Dict[int, int] = {}
+            for i in eligible:
+                key = id(pending[i][1])
+                if key not in slot:
+                    slot[key] = len(unique)
+                    unique.append(pending[i][1])
+            batched = self._batched_votes(unique)
+            for i in eligible:
+                votes[i] = batched[slot[id(pending[i][1])]]
+        return votes
 
     @property
     def _synopses(self) -> List[Any]:
@@ -832,11 +778,9 @@ class CapacityService:
     def save(self, directory: Union[str, Path]) -> Path:
         """Checkpoint every site's monitor plus the gate manifest.
 
-        Layout: monitor state as either ``<dir>/<site>.monitor.json``
-        (one full :mod:`repro.faults.checkpoint` file per site) or — when
-        the fleet backend is active — a single fleet-sharded
+        Layout: monitor state in one fleet-sharded
         ``<dir>/fleet.monitor.json`` storing the shared meter template
-        once; plus ``<dir>/service.json`` (format tag, checkpoint
+        once, plus ``<dir>/service.json`` (format tag, checkpoint
         layout, tick count, per-site gate states, and the run-local
         state of every fault injector and watchdog, so resumed
         campaigns pick their fault plans up mid-stream instead of
@@ -844,24 +788,16 @@ class CapacityService:
         """
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
-        if self.fleet is not None:
-            # checkpoints read each monitor's own state: write the
-            # stacked fold state back before serializing
-            self.fleet.sync()
-            layout = "fleet"
-            save_fleet_checkpoint(
-                [(site.name, site.monitor) for site in self.sites],
-                target / "fleet.monitor.json",
-            )
-        else:
-            layout = "per-site"
-            for site in self.sites:
-                save_checkpoint(
-                    site.monitor, target / f"{site.name}.monitor.json"
-                )
+        # checkpoints read each monitor's own state: write the stacked
+        # fold state back before serializing
+        self.fleet.sync()
+        save_fleet_checkpoint(
+            [(site.name, site.monitor) for site in self.sites],
+            target / "fleet.monitor.json",
+        )
         manifest: Dict[str, object] = {
             "format": SERVICE_FORMAT,
-            "layout": layout,
+            "layout": "fleet",
             "ticks": self.ticks,
             "meter_version": self.handle.version,
             "gates": {
@@ -894,8 +830,6 @@ class CapacityService:
         labeler: Optional[Callable[[WindowStats], int]] = None,
         use_watchdog: bool = True,
         stall_ticks: int = 3,
-        batch_votes: bool = True,
-        use_fleet: bool = True,
         allow_subset: bool = False,
         retain_decisions: Optional[int] = None,
         on_decision: Optional[Callable[[str, MonitorDecision], None]] = None,
@@ -932,7 +866,7 @@ class CapacityService:
         if manifest.get("format") not in (SERVICE_FORMAT, SERVICE_FORMAT_V1):
             raise ValueError(f"{target} is not a service checkpoint")
         service = cls.__new__(cls)
-        service._init_base(batch_votes=batch_votes, on_decision=on_decision)
+        service._init_base(on_decision=on_decision)
         gate_states = manifest["gates"]
         supplied = {spec.name for spec in sites}
         lost = set(manifest.get("lost_sites", ()))
@@ -1023,7 +957,7 @@ class CapacityService:
         raw_drift = manifest.get("drift")
         if raw_drift is not None:
             service._drift_manifest_state = dict(raw_drift)
-        service._init_fleet(use_fleet)
+        service._init_fleet()
         raw_pending = manifest.get("pending_swap")
         if raw_pending is not None and meter is None:
             service.stage_swap(StagedSwap.from_manifest(dict(raw_pending)))

@@ -7,7 +7,9 @@ contiguous shards, runs each shard as a full single-process
 :class:`~repro.control.service.CapacityService` (fleet backend and all)
 inside a long-lived worker process on a
 :class:`~repro.parallel.pool.WorkerPool`, and merges the per-tick
-decision streams back into the parent.
+decision streams back into the parent.  Each worker's service applies
+the size rule to its own shard: it stacks when the shard has at least
+:data:`~repro.control.fleet.STACK_MIN_SITES` sites.
 
 Determinism / bit-equality
 --------------------------
@@ -190,8 +192,6 @@ def _init_shard(worker_index: int, common: Dict[str, Any]) -> None:
             labeler=labeler,
             use_watchdog=opts["use_watchdog"],
             stall_ticks=opts["stall_ticks"],
-            batch_votes=opts["batch_votes"],
-            use_fleet=opts["use_fleet"],
             allow_subset=True,  # the parent validated the full list
             retain_decisions=opts["retain_decisions"],
         )
@@ -207,8 +207,6 @@ def _init_shard(worker_index: int, common: Dict[str, Any]) -> None:
             confidence_decay=opts["confidence_decay"],
             use_watchdog=opts["use_watchdog"],
             stall_ticks=opts["stall_ticks"],
-            batch_votes=opts["batch_votes"],
-            use_fleet=opts["use_fleet"],
             retain_decisions=opts["retain_decisions"],
         )
 
@@ -229,8 +227,7 @@ def _shard_replay_chunk(
 def _shard_sync() -> int:
     """Write stacked fold state back (mirrors ``replay``'s final sync)."""
     service = _shard()
-    if service.fleet is not None:
-        service.fleet.sync()
+    service.fleet.sync()
     return service.ticks
 
 
@@ -275,8 +272,7 @@ def _shard_hang() -> None:
 def _shard_save(directory: str, shard_index: int) -> Dict[str, Any]:
     """Write this shard's monitor file; return its manifest fragment."""
     service = _shard()
-    if service.fleet is not None:
-        service.fleet.sync()
+    service.fleet.sync()
     filename = f"fleet.monitor.{shard_index}.json"
     save_fleet_checkpoint(
         [(site.name, site.monitor) for site in service.sites],
@@ -313,8 +309,7 @@ def _shard_gate_states() -> Dict[str, Dict[str, Any]]:
 def _shard_monitor_states() -> Dict[str, Dict[str, Any]]:
     """Post-sync ``state_dict`` + coordinator tables per site."""
     service = _shard()
-    if service.fleet is not None:
-        service.fleet.sync()
+    service.fleet.sync()
     return {
         site.name: {
             "state": site.monitor.state_dict(),
@@ -426,8 +421,6 @@ class ShardedCapacityService:
         confidence_decay: float = 0.5,
         use_watchdog: bool = True,
         stall_ticks: int = 3,
-        batch_votes: bool = True,
-        use_fleet: bool = True,
         retain_decisions: Optional[int] = None,
         on_decision: Optional[Callable[[str, MonitorDecision], None]] = None,
         chunk_ticks: int = 16,
@@ -560,8 +553,6 @@ class ShardedCapacityService:
                 "confidence_decay": confidence_decay,
                 "use_watchdog": use_watchdog,
                 "stall_ticks": stall_ticks,
-                "batch_votes": batch_votes,
-                "use_fleet": use_fleet,
                 "retain_decisions": retain_decisions,
             },
         }
@@ -589,8 +580,6 @@ class ShardedCapacityService:
         labeler: Optional[Callable[[WindowStats], int]] = None,
         use_watchdog: bool = True,
         stall_ticks: int = 3,
-        batch_votes: bool = True,
-        use_fleet: bool = True,
         allow_subset: bool = False,
         retain_decisions: Optional[int] = None,
         on_decision: Optional[Callable[[str, MonitorDecision], None]] = None,
@@ -647,8 +636,6 @@ class ShardedCapacityService:
             labeler=labeler,
             use_watchdog=use_watchdog,
             stall_ticks=stall_ticks,
-            batch_votes=batch_votes,
-            use_fleet=use_fleet,
             retain_decisions=retain_decisions,
             on_decision=on_decision,
             chunk_ticks=chunk_ticks,

@@ -301,34 +301,7 @@ class CoordinatedPredictor:
             if i not in substituted:
                 self._last_votes[i] = vote
         if OBS.enabled:
-            cache = self._obs_cache
-            if cache is None or cache[0] is not OBS.registry:
-                registry = OBS.registry
-                cache = self._obs_cache = (
-                    registry,
-                    {
-                        flag: registry.counter(
-                            "repro_coordinator_decisions_total",
-                            help="coordinated GPT/LHT decisions, by "
-                            "confidence source",
-                            confident=flag,
-                        )
-                        for flag in ("yes", "no")
-                    },
-                    registry.gauge(
-                        "repro_coordinator_last_gpv",
-                        help="global pattern vector of the latest decision",
-                    ),
-                    registry.counter(
-                        "repro_coordinator_degraded_decisions_total",
-                        help="decisions made from imputed or substituted "
-                        "votes",
-                    ),
-                )
-            cache[1]["yes" if confident else "no"].inc()
-            cache[2].set(float(gpv))
-            if degraded:
-                cache[3].inc()
+            self._count_decision(gpv, confident, degraded)
         return CoordinatedPrediction(
             state=state,
             bottleneck=bottleneck,
@@ -340,6 +313,37 @@ class CoordinatedPredictor:
             abstained=abstained,
             imputed_attributes=imputed_attributes,
         )
+
+    def _count_decision(self, gpv: int, confident: bool, degraded: bool) -> None:
+        """The metrics of one GPT/LHT decision."""
+        cache = self._obs_cache
+        if cache is None or cache[0] is not OBS.registry:
+            registry = OBS.registry
+            cache = self._obs_cache = (
+                registry,
+                {
+                    flag: registry.counter(
+                        "repro_coordinator_decisions_total",
+                        help="coordinated GPT/LHT decisions, by "
+                        "confidence source",
+                        confident=flag,
+                    )
+                    for flag in ("yes", "no")
+                },
+                registry.gauge(
+                    "repro_coordinator_last_gpv",
+                    help="global pattern vector of the latest decision",
+                ),
+                registry.counter(
+                    "repro_coordinator_degraded_decisions_total",
+                    help="decisions made from imputed or substituted "
+                    "votes",
+                ),
+            )
+        cache[1]["yes" if confident else "no"].inc()
+        cache[2].set(float(gpv))
+        if degraded:
+            cache[3].inc()
 
     def predict_votes(
         self, votes: Sequence[int]
@@ -361,7 +365,7 @@ class CoordinatedPredictor:
         return self._predict_from_votes(tuple(int(v) for v in votes))
 
     def commit_clean_votes(
-        self, votes: Sequence[int], hist: int
+        self, prediction: CoordinatedPrediction, hist: int
     ) -> None:
         """Record the run-local registers for one fleet-decided window.
 
@@ -372,12 +376,15 @@ class CoordinatedPredictor:
         as a clean ``predict_votes()`` + ``observe()`` pair would leave
         them: every vote is concrete (so all last-vote slots update),
         ``_last_hist`` is the history the decision consulted, and the
-        pending-observation marker is cleared.
+        pending-observation marker is cleared.  The decision's metrics
+        are the ones ``predict_votes()`` emits.
         """
-        for i, vote in enumerate(votes):
+        for i, vote in enumerate(prediction.synopsis_votes):
             self._last_votes[i] = int(vote)
         self._last_hist = int(hist)
         self._last_gpv = None
+        if OBS.enabled:
+            self._count_decision(prediction.gpv, prediction.confident, False)
 
     def predict_degraded(
         self,

@@ -428,16 +428,59 @@ class OnlineCapacityMonitor:
             prediction = self._held_prediction()
         truth = self.labeler(window.stats)
         truth_bottleneck = window.stats.bottleneck if truth == OVERLOAD else None
-        if held:
-            # no predict() ran underneath: the history registers were
-            # never speculated on, so there is nothing to observe/repair
-            self._held_streak += 1
-        else:
+        if not held:
+            # a held window ran no predict() underneath: the history
+            # registers were never speculated on, so there is nothing
+            # to observe/repair
             coordinator.observe(
                 truth,
                 bottleneck=truth_bottleneck if self.adapt else None,
                 adapt=self.adapt,
             )
+        decision = self._record(
+            window, prediction, truth, truth_bottleneck, held=held
+        )
+        if t0 is not None:
+            OBS.observe_span("monitor_decide", OBS.clock() - t0)
+        return decision
+
+    def finish_fleet_decision(
+        self,
+        window: StreamingWindow,
+        prediction: CoordinatedPrediction,
+        truth: int,
+        truth_bottleneck: Optional[str],
+    ) -> MonitorDecision:
+        """Bookkeeping half of :meth:`decide` for a fleet-decided window.
+
+        The fleet backend already ran the clean-path prediction and the
+        observe() repair/adaptation vectorized on the shared tables, so
+        this applies everything :meth:`decide` does *besides* those two
+        steps.  Only clean (non-held, non-degraded-vote) predictions
+        come through here.
+        """
+        return self._record(
+            window, prediction, truth, truth_bottleneck, held=False
+        )
+
+    def _record(
+        self,
+        window: StreamingWindow,
+        prediction: CoordinatedPrediction,
+        truth: int,
+        truth_bottleneck: Optional[str],
+        *,
+        held: bool,
+    ) -> MonitorDecision:
+        """Score and record one decided window, whichever path decided it.
+
+        Held-streak bookkeeping, counters (the bottleneck score consults
+        the post-adaptation BPT), the decision record, retention, the
+        ``on_decision`` callback and the per-window metrics.
+        """
+        if held:
+            self._held_streak += 1
+        else:
             self._held_streak = 0
             self._last_prediction = prediction
         counters = self.counters
@@ -463,6 +506,7 @@ class OnlineCapacityMonitor:
                 counters.fn += 1
             if truth_bottleneck is not None:
                 counters.bottleneck_windows += 1
+                coordinator = self.meter.coordinator
                 if coordinator.bpt_vote(prediction.gpv) == truth_bottleneck:
                     counters.bottleneck_correct += 1
         else:
@@ -484,112 +528,49 @@ class OnlineCapacityMonitor:
         self.decisions.append(decision)
         if self.on_decision is not None:
             self.on_decision(decision)
-        if t0 is not None:
-            cache = self._obs_cache
-            if cache is None or cache[0] is not OBS.registry:
-                registry = OBS.registry
-                cache = self._obs_cache = (
-                    registry,
-                    registry.counter(
-                        "repro_monitor_windows_total",
-                        help="decision windows completed by online monitors",
-                    ),
-                    registry.counter(
-                        "repro_monitor_ticks_total",
-                        help="interval records folded by online monitors",
-                    ),
-                    registry.counter(
-                        "repro_monitor_held_decisions_total",
-                        help="quorum failures answered by holding the "
-                        "last decision",
-                    ),
-                    registry.counter(
-                        "repro_monitor_degraded_windows_total",
-                        help="windows decided from incomplete telemetry",
-                    ),
-                    registry.gauge(
-                        "repro_monitor_overload_ba",
-                        help="running overload balanced accuracy of the "
-                        "monitor",
-                    ),
-                )
-            cache[1].inc()
-            # per-record ticks flush here, once per completed window,
-            # keeping push() itself free of metric operations
-            cache[2].inc(self.meter.window)
-            if held:
-                cache[3].inc()
-            if decision.degraded:
-                cache[4].inc()
-            c = self.counters
-            tpr = c.tp / (c.tp + c.fn) if (c.tp + c.fn) else 1.0
-            tnr = c.tn / (c.tn + c.fp) if (c.tn + c.fp) else 1.0
-            cache[5].set(0.5 * (tpr + tnr))
-            OBS.observe_span("monitor_decide", OBS.clock() - t0)
+        if OBS.enabled:
+            self._count(decision)
         return decision
 
-    def finish_fleet_decision(
-        self,
-        window: StreamingWindow,
-        prediction: CoordinatedPrediction,
-        truth: int,
-        truth_bottleneck: Optional[str],
-    ) -> MonitorDecision:
-        """Bookkeeping half of :meth:`decide` for a fleet-decided window.
-
-        The fleet backend already ran the clean-path prediction and the
-        observe() repair/adaptation vectorized on the shared tables, so
-        this applies everything :meth:`decide` does *besides* those two
-        steps: fallback-streak reset, counters (including the
-        bottleneck score, which consults the post-adaptation BPT exactly
-        as the per-site path does), the decision record, retention and
-        the ``on_decision`` callback.  Only clean (non-held,
-        non-degraded-vote) predictions come through here, and only when
-        observability is disabled — the service falls back to the
-        per-site path otherwise.
-        """
-        self._held_streak = 0
-        self._last_prediction = prediction
-        counters = self.counters
-        counters.windows += 1
-        if prediction.confident:
-            counters.confident_windows += 1
-        else:
-            counters.fallback_scheme_uses += 1
-        if window.quality is not None and window.quality.degraded:
-            counters.degraded_windows += 1
-        if self.adapt:
-            counters.adaptation_steps += 1
-        if truth == OVERLOAD:
-            if prediction.overloaded:
-                counters.tp += 1
-            else:
-                counters.fn += 1
-            if truth_bottleneck is not None:
-                counters.bottleneck_windows += 1
-                coordinator = self.meter.coordinator
-                if coordinator.bpt_vote(prediction.gpv) == truth_bottleneck:
-                    counters.bottleneck_correct += 1
-        else:
-            if prediction.overloaded:
-                counters.fp += 1
-            else:
-                counters.tn += 1
-        decision = MonitorDecision(
-            index=window.index,
-            t_start=window.stats.t_start,
-            t_end=window.stats.t_end,
-            prediction=prediction,
-            truth=truth,
-            truth_bottleneck=truth_bottleneck,
-            stats=window.stats,
-            held=False,
-            quality=window.quality,
-        )
-        self.decisions.append(decision)
-        if self.on_decision is not None:
-            self.on_decision(decision)
-        return decision
+    def _count(self, decision: MonitorDecision) -> None:
+        """The per-window metrics of one recorded decision."""
+        cache = self._obs_cache
+        if cache is None or cache[0] is not OBS.registry:
+            registry = OBS.registry
+            cache = self._obs_cache = (
+                registry,
+                registry.counter(
+                    "repro_monitor_windows_total",
+                    help="decision windows completed by online monitors",
+                ),
+                registry.counter(
+                    "repro_monitor_ticks_total",
+                    help="interval records folded by online monitors",
+                ),
+                registry.counter(
+                    "repro_monitor_held_decisions_total",
+                    help="quorum failures answered by holding the "
+                    "last decision",
+                ),
+                registry.counter(
+                    "repro_monitor_degraded_windows_total",
+                    help="windows decided from incomplete telemetry",
+                ),
+                registry.gauge(
+                    "repro_monitor_overload_ba",
+                    help="running overload balanced accuracy of the "
+                    "monitor",
+                ),
+            )
+        cache[1].inc()
+        # per-record ticks flush here, once per completed window,
+        # keeping push() itself free of metric operations
+        cache[2].inc(self.meter.window)
+        if decision.held:
+            cache[3].inc()
+        if decision.degraded:
+            cache[4].inc()
+        cache[5].set(self.scores()["overload_ba"])
 
     # ------------------------------------------------------------------
     # fleet PI-tracker sharing

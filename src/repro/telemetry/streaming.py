@@ -205,6 +205,28 @@ class _TierAccumulator:
         self.valid[:fill, -added:] = False
 
 
+def window_counters() -> tuple:
+    """``(registry, windows, ticks, degraded)``: the emitted-window
+    counters in ``OBS.registry``, for a caller to cache while the
+    registry stays the same object."""
+    registry = OBS.registry
+    return (
+        registry,
+        registry.counter(
+            "repro_streaming_windows_total",
+            help="decision windows emitted by streaming aggregators",
+        ),
+        registry.counter(
+            "repro_streaming_ticks_total",
+            help="interval records folded by streaming aggregators",
+        ),
+        registry.counter(
+            "repro_streaming_degraded_windows_total",
+            help="emitted windows with incomplete telemetry",
+        ),
+    )
+
+
 class StreamingWindowAggregator:
     """Fold 1 s interval records into decision windows incrementally.
 
@@ -462,24 +484,7 @@ class StreamingWindowAggregator:
         if t0 is not None:
             cache = self._obs_cache
             if cache is None or cache[0] is not OBS.registry:
-                registry = OBS.registry
-                cache = self._obs_cache = (
-                    registry,
-                    registry.counter(
-                        "repro_streaming_windows_total",
-                        help="decision windows emitted by streaming "
-                        "aggregators",
-                    ),
-                    registry.counter(
-                        "repro_streaming_ticks_total",
-                        help="interval records folded by streaming "
-                        "aggregators",
-                    ),
-                    registry.counter(
-                        "repro_streaming_degraded_windows_total",
-                        help="emitted windows with incomplete telemetry",
-                    ),
-                )
+                cache = self._obs_cache = window_counters()
             cache[1].inc()
             # ticks are flushed per emitted window (a window completes
             # after exactly ``window`` pushes) to keep the per-record

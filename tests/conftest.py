@@ -139,3 +139,11 @@ def sample_both_levels(patch: pytest.MonkeyPatch) -> None:
     patch.setattr(
         SiteRuntime, "levels", property(lambda site: frozenset(CONCRETE_LEVELS))
     )
+
+
+def pin_path(patch: pytest.MonkeyPatch, *, stacked: bool, sites: int) -> None:
+    """Pin the size rule so services of ``sites`` sites built from now
+    on fold and decide on the stack (``stacked``) or per site."""
+    from repro.control import fleet
+
+    patch.setattr(fleet, "STACK_MIN_SITES", 1 if stacked else sites + 1)

@@ -1,10 +1,11 @@
-"""Tests for the structure-of-arrays fleet backend (PR 6 tentpole).
+"""Tests for the structure-of-arrays fleet backend.
 
-The hard constraint: with ``use_fleet=True`` (the default) every
-decision, counter, coordinator table and gate state must be bit-for-bit
-identical to the per-site path (``use_fleet=False, batch_votes=False``)
-over clean, degraded and mixed streams — pinned here the same way
-``batch_votes`` parity is pinned in ``tests/test_service.py``.
+The hard constraint: every decision, counter, coordinator table and
+gate state of a service that folds and decides on the stack must be
+bit-for-bit identical to the same service folding and deciding per
+site, over clean, degraded and mixed streams.  The site count picks the
+path (``STACK_MIN_SITES``); each parity test pins it both ways with
+``pin_path``.
 
 The satellite fixes ride along:
 
@@ -23,13 +24,14 @@ import numpy as np
 import pytest
 
 from repro.control import CapacityService, FleetState, SiteSpec
+from repro.control.fleet import STACK_MIN_SITES
 from repro.faults import (
     FaultPlan,
     FaultSpec,
     decision_signature,
     fresh_monitor,
 )
-from repro.faults.checkpoint import load_fleet_checkpoint
+from repro.faults.checkpoint import load_fleet_checkpoint, save_checkpoint
 from repro.telemetry.persistence import load_run, run_to_dict
 from repro.telemetry.sampler import (
     HPC_LEVEL,
@@ -37,6 +39,7 @@ from repro.telemetry.sampler import (
     OS_LEVEL,
     MeasurementRun,
 )
+from tests.conftest import pin_path
 
 #: dropout plus a mid-stream database stall — the canonical degraded
 #: scenario, identical to tests/test_service.py
@@ -88,6 +91,16 @@ def canon(state):
     return json.dumps(state, sort_keys=True)
 
 
+def both_paths(monkeypatch, meter, specs, **options):
+    """``(stacked, per-site)`` services over the same ``specs``."""
+    pin_path(monkeypatch, stacked=True, sites=len(specs))
+    stacked = CapacityService(meter, specs, **options)
+    pin_path(monkeypatch, stacked=False, sites=len(specs))
+    per_site = CapacityService(meter, specs, **options)
+    assert stacked.fleet.stacks and not per_site.fleet.stacks
+    return stacked, per_site
+
+
 def specs_for(kind):
     if kind == "clean":
         return [SiteSpec(name="a", seed=1), SiteSpec(name="b", seed=2)]
@@ -113,18 +126,13 @@ class TestFleetParity:
     )
     @pytest.mark.parametrize("adapt", [False, True])
     def test_fleet_bit_identical_to_per_site(
-        self, meter, records, stream, adapt
+        self, meter, records, stream, adapt, monkeypatch
     ):
         """Every decision, counter, table and gate must match the
         per-site loop exactly — clean windows decide vectorized,
         degraded windows drop to the quorum path on the same memory."""
         specs = specs_for(stream)
-        fleet = CapacityService(meter, specs, adapt=adapt, use_fleet=True)
-        scalar = CapacityService(
-            meter, specs, adapt=adapt, use_fleet=False, batch_votes=False
-        )
-        assert fleet.fleet is not None
-        assert scalar.fleet is None
+        fleet, scalar = both_paths(monkeypatch, meter, specs, adapt=adapt)
         fleet_decisions = fleet.replay(records)
         scalar_decisions = scalar.replay(records)
         assert len(fleet_decisions) == len(scalar_decisions) > 0
@@ -147,16 +155,13 @@ class TestFleetParity:
 
     @pytest.mark.parametrize("level", [OS_LEVEL, HYBRID_LEVEL])
     def test_other_meter_levels_bit_identical(
-        self, mini_pipeline, records, level
+        self, mini_pipeline, records, level, monkeypatch
     ):
         """os and hybrid meters stack too; their PI definitions read
         hpc counters outside the stacked rows."""
         meter = mini_pipeline.meter(level)
         specs = specs_for("mixed")
-        fleet = CapacityService(meter, specs, use_fleet=True)
-        scalar = CapacityService(
-            meter, specs, use_fleet=False, batch_votes=False
-        )
+        fleet, scalar = both_paths(monkeypatch, meter, specs)
         fleet_decisions = fleet.replay(records)
         scalar_decisions = scalar.replay(records)
         assert fleet.fleet._pi_extra
@@ -226,10 +231,7 @@ class TestEmissionSharing:
             monkeypatch.setattr(service, "_flush", flush)
             return service
 
-        fleet = capture(CapacityService(meter, specs))
-        scalar = capture(
-            CapacityService(meter, specs, use_fleet=False, batch_votes=False)
-        )
+        fleet, scalar = map(capture, both_paths(monkeypatch, meter, specs))
         fleet.replay(records[:40])
         scalar.replay(records[:40])
         ours, theirs = emitted[id(fleet)], emitted[id(scalar)]
@@ -273,14 +275,11 @@ class TestNanPiInput:
 
     @pytest.mark.parametrize("metric", ["ipc", "l2_miss_rate"])
     def test_nan_yield_or_cost_matches_per_site(
-        self, meter, records, tmp_path, metric
+        self, meter, records, tmp_path, metric, monkeypatch
     ):
         stream = nan_run(records[:40], tmp_path, metric)
         specs = specs_for("clean")
-        fleet = CapacityService(meter, specs, use_fleet=True)
-        scalar = CapacityService(
-            meter, specs, use_fleet=False, batch_votes=False
-        )
+        fleet, scalar = both_paths(monkeypatch, meter, specs)
         fleet_decisions = fleet.replay(stream)
         scalar_decisions = scalar.replay(stream)
         for spec in specs:
@@ -306,17 +305,16 @@ class TestOutsideCounts:
     @pytest.mark.parametrize(
         "count", [12.0, 2**62], ids=["float", "beyond-int64-sum"]
     )
-    def test_counts_match_per_site(self, meter, records, tmp_path, count):
+    def test_counts_match_per_site(
+        self, meter, records, tmp_path, count, monkeypatch
+    ):
         def edit(item):
             item["client"]["submitted"] = count
 
         stream = edited_run(records[:40], tmp_path, edit, at=(12, 13))
         assert type(stream[12].website.client.submitted) is type(count)
         specs = specs_for("clean")
-        fleet = CapacityService(meter, specs, use_fleet=True)
-        scalar = CapacityService(
-            meter, specs, use_fleet=False, batch_votes=False
-        )
+        fleet, scalar = both_paths(monkeypatch, meter, specs)
         assert [repr(d) for d in fleet.replay(stream)] == [
             repr(d) for d in scalar.replay(stream)
         ]
@@ -441,12 +439,23 @@ class TestMidCampaignResume:
         )
 
 
+def per_site_layout(target, service):
+    """Rewrite ``service``'s checkpoint in ``target`` into the per-site
+    layout older services wrote: one monitor file per site."""
+    for site in service.sites:
+        save_checkpoint(site.monitor, target / f"{site.name}.monitor.json")
+    (target / "fleet.monitor.json").unlink()
+    manifest = json.loads((target / "service.json").read_text())
+    manifest["layout"] = "per-site"
+    (target / "service.json").write_text(json.dumps(manifest))
+
+
 class TestCheckpointLayouts:
     def test_fleet_layout_stores_one_monitor_file(
         self, meter, records, tmp_path
     ):
         specs = specs_for("mixed")
-        service = CapacityService(meter, specs, use_fleet=True)
+        service = CapacityService(meter, specs)
         service.replay(records[:40])
         target = service.save(tmp_path / "fleet-ckpt")
         assert (target / "fleet.monitor.json").exists()
@@ -465,33 +474,24 @@ class TestCheckpointLayouts:
                 service.site(spec.name).monitor.state_dict()
             )
 
-    def test_layouts_cross_resume(self, meter, records, tmp_path):
-        """Either layout resumes into either backend, bit-identically."""
+    def test_layouts_cross_resume(self, meter, records, tmp_path, monkeypatch):
+        """Either layout resumes onto either path, bit-identically."""
         specs = specs_for("mixed")
         half = len(records) // 2
-        reference = CapacityService(meter, specs, use_fleet=True)
-        expected = reference.replay(records)
+        expected = CapacityService(meter, specs).replay(records)
 
-        for save_fleet, resume_fleet in (
-            (True, False),
-            (False, True),
-        ):
-            first = CapacityService(meter, specs, use_fleet=save_fleet)
+        for per_site_files, stacked in ((True, True), (False, False)):
+            pin_path(monkeypatch, stacked=not stacked, sites=len(specs))
+            first = CapacityService(meter, specs)
             head = first.replay(records[:half])
-            target = first.save(
-                tmp_path / f"ckpt-{int(save_fleet)}{int(resume_fleet)}"
-            )
-            expected_files = (
-                ["fleet.monitor.json"]
-                if save_fleet
-                else ["clean.monitor.json", "faulty.monitor.json"]
-            )
-            for name in expected_files:
-                assert (target / name).exists()
+            target = first.save(tmp_path / f"ckpt-{int(per_site_files)}")
+            if per_site_files:
+                per_site_layout(target, first)
+            pin_path(monkeypatch, stacked=stacked, sites=len(specs))
             resumed = CapacityService.resume(
-                target, specs, labeler=meter.labeler, use_fleet=resume_fleet
+                target, specs, labeler=meter.labeler
             )
-            assert (resumed.fleet is not None) == resume_fleet
+            assert resumed.fleet.stacks == stacked
             combined = head + resumed.replay(records[half:])
             for spec in specs:
                 assert site_signature(
@@ -502,9 +502,10 @@ class TestCheckpointLayouts:
         """Pre-fleet checkpoints (format v1: per-site layout, no
         injector/watchdog state) must keep loading."""
         specs = [SiteSpec(name="a", seed=1)]
-        service = CapacityService(meter, specs, use_fleet=False)
+        service = CapacityService(meter, specs)
         service.replay(records[:40])
         target = service.save(tmp_path / "ckpt")
+        per_site_layout(target, service)
         manifest = json.loads((target / "service.json").read_text())
         manifest["format"] = "repro.service-checkpoint/1"
         for key in ("layout", "injectors", "watchdogs"):
@@ -517,3 +518,53 @@ class TestCheckpointLayouts:
         )
         resumed.replay(records[40:60])
         assert resumed.site("a").monitor.counters.windows > 0
+
+
+class TestSizeRule:
+    """The site count alone picks the path."""
+
+    def test_serving_workloads_sit_on_either_side(self):
+        # `repro serve --sites 4` and 2-site serve-http fold per site;
+        # `--sites 16` in one process stacks, and CI diffs it against
+        # `--sites 16 --workers 4` (4 sites per worker: per site)
+        assert 4 < STACK_MIN_SITES <= 16
+
+    def test_below_the_constant_no_site_stacks(
+        self, meter, records, monkeypatch
+    ):
+        specs = specs_for("sparse")
+        monkeypatch.setattr(
+            "repro.control.fleet.STACK_MIN_SITES", len(specs) + 1
+        )
+
+        def forbidden(self, entries):
+            raise AssertionError("decide_clean ran below the constant")
+
+        monkeypatch.setattr(FleetState, "decide_clean", forbidden)
+        service = CapacityService(meter, specs)
+        stacked = []
+        for record in records:
+            service.push(record)
+            stacked.append(any(service.fleet._stacked))
+        assert not service.fleet.stacks and not any(stacked)
+        assert service.site("clean").monitor.counters.windows > 0
+
+    def test_at_the_constant_clean_sites_stack(
+        self, meter, records, monkeypatch
+    ):
+        specs = specs_for("sparse")
+        monkeypatch.setattr("repro.control.fleet.STACK_MIN_SITES", len(specs))
+        calls = []
+        decide_clean = FleetState.decide_clean
+
+        def counted(self, entries):
+            calls.append(len(entries))
+            return decide_clean(self, entries)
+
+        monkeypatch.setattr(FleetState, "decide_clean", counted)
+        service = CapacityService(meter, specs)
+        clean = service.site("clean").index
+        for record in records:
+            service.push(record)
+            assert service.fleet._stacked[clean]
+        assert service.fleet.stacks and calls

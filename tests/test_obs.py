@@ -13,6 +13,7 @@ Three levels of guarantee:
   writing into a dropped registry.
 """
 
+import functools
 import importlib.util
 import json
 import math
@@ -20,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.control import CapacityService, FleetState, SiteSpec
 from repro.core.monitor import OnlineCapacityMonitor
+from repro.faults import FaultPlan, FaultSpec
 from repro.faults.campaign import decision_signature
 from repro.obs import (
     DEFAULT_BUCKETS,
@@ -40,6 +43,7 @@ from repro.obs import (
 from repro.obs.overhead import measure_decision_overhead
 from repro.obs.registry import label_key
 from repro.telemetry.sampler import HPC_LEVEL
+from tests.conftest import MINI_WINDOW, attach_busy_sites, pin_path
 
 
 @pytest.fixture(autouse=True)
@@ -357,6 +361,125 @@ class TestMonitorInstrumentation:
         for record in records:
             monitor.push(record)
         assert OBS.registry.value("repro_monitor_windows_total") == first_windows
+
+
+#: two clean sites, dropout plus a database stall, and lost and
+#: duplicated records: every way a site leaves or skips the stack
+OBSERVED_SPECS = (
+    SiteSpec(name="clean", seed=1),
+    SiteSpec(name="clean2", seed=2),
+    SiteSpec(
+        name="faulty",
+        seed=3,
+        plan=FaultPlan(
+            seed=3,
+            faults=(
+                FaultSpec(kind="dropout", probability=0.2),
+                FaultSpec(kind="stall", tier="db", start=40, end=41),
+            ),
+        ),
+    ),
+    SiteSpec(
+        name="lossy",
+        seed=4,
+        plan=FaultPlan(
+            seed=9,
+            faults=(
+                FaultSpec(kind="drop_record", probability=0.1),
+                FaultSpec(kind="duplicate_record", probability=0.1),
+            ),
+        ),
+    ),
+)
+
+
+class TestObsOnlyObserves:
+    """Turning ``repro.obs`` on changes what is recorded, never the path
+    a service folds and decides on, nor anything it decides."""
+
+    @pytest.fixture(scope="class")
+    def meter(self, mini_pipeline):
+        return mini_pipeline.meter(HPC_LEVEL)
+
+    @pytest.fixture(scope="class")
+    def records(self, mini_pipeline):
+        return mini_pipeline.test_run("ordering").records[:80]
+
+    def _serve(self, meter, records, patch, *, mode, stacked, obs):
+        """Outcome per site, the registry (or None) and the sites the
+        stack detached while serving."""
+        pin_path(patch, stacked=stacked, sites=len(OBSERVED_SPECS))
+        detached = []
+        detach = FleetState._detach
+
+        def spy(fleet, i):
+            detached.append(fleet.monitors[i])
+            detach(fleet, i)
+
+        patch.setattr(FleetState, "_detach", spy)
+        registry = MetricsRegistry() if obs else None
+        if registry is not None:
+            OBS.enable(registry=registry)
+        decisions = []
+        try:
+            service = CapacityService(
+                meter,
+                list(OBSERVED_SPECS),
+                on_decision=lambda name, d: decisions.append((name, d)),
+            )
+            if mode == "replay":
+                service.replay(records)
+            else:
+                attach_busy_sites(service).run(until=MINI_WINDOW * 6 + 1)
+                service.stop()
+        finally:
+            OBS.reset()
+        assert service.fleet.stacks == stacked
+        outcome = {
+            site.name: (
+                [repr(d) for name, d in decisions if name == site.name],
+                json.dumps(site.monitor.state_dict(), sort_keys=True),
+                site.monitor.meter.coordinator.table_state(),
+                site.gate.state_dict(),
+            )
+            for site in service.sites
+        }
+        names = [
+            site.name for site in service.sites if site.monitor in detached
+        ]
+        return outcome, registry, names
+
+    @staticmethod
+    def _series(registry):
+        """Every exposition line but the span histograms'."""
+        return sorted(
+            line
+            for line in exposition(registry).splitlines()
+            if SPAN_METRIC not in line
+        )
+
+    @pytest.mark.parametrize("mode", ["replay", "live"])
+    def test_obs_only_observes(self, meter, records, monkeypatch, mode):
+        serve = functools.partial(
+            self._serve, meter, records, monkeypatch, mode=mode
+        )
+        quiet, _, quiet_detached = serve(stacked=True, obs=False)
+        stacked, on, on_detached = serve(stacked=True, obs=True)
+        per_site, reference, _ = serve(stacked=False, obs=True)
+        assert quiet == stacked == per_site
+        assert stacked["clean"][0]
+        # the clean sites never leave the stack, observed or not
+        assert on_detached == quiet_detached
+        assert "clean" not in on_detached and "clean2" not in on_detached
+        assert self._series(on) == self._series(reference)
+        assert on.value("repro_monitor_windows_total") == sum(
+            len(outcome[0]) for outcome in stacked.values()
+        )
+        for span in ("fleet_fold", "fleet_decide"):
+            assert on.get(SPAN_METRIC, span=span).count > 0
+            assert reference.get(SPAN_METRIC, span=span) is None
+        assert reference.get(SPAN_METRIC, span="monitor_decide").count > 0
+        assert "site_decide" not in exposition(on)
 
 
 class TestOverheadSelfMeasurement:

@@ -5,7 +5,7 @@ with its own clone of the canonical monitor and its own AIMD gate, one
 batched synopsis-inference pass per tick, per-site fault plans, and
 whole-service checkpoint/resume.  The key invariants pinned here:
 
-* the batched vote path is bit-identical to per-site inference;
+* batched votes decide as a solo monitor's unbatched inference does;
 * a site inside the service decides exactly as a solo monitor would;
 * a seeded fault campaign runs end to end without exceptions and
   replays deterministically;
@@ -23,8 +23,8 @@ from repro.faults import (
     FaultSpec,
     decision_signature,
     fresh_monitor,
+    run_campaign,
 )
-from repro.faults.checkpoint import save_fleet_checkpoint
 from repro.obs import OBS, MetricsRegistry
 from repro.simulator import (
     AppServer,
@@ -40,7 +40,12 @@ from repro.telemetry.sampler import (
 )
 from repro.workload.rbe import RemoteBrowserEmulator
 from repro.workload.tpcw import INTERACTIONS, ORDERING_MIX
-from tests.conftest import MINI_WINDOW, attach_busy_sites, sample_both_levels
+from tests.conftest import (
+    MINI_WINDOW,
+    attach_busy_sites,
+    pin_path,
+    sample_both_levels,
+)
 
 #: dropout plus a mid-stream database stall — the canonical degraded
 #: scenario the ``repro faults`` campaign uses
@@ -130,21 +135,27 @@ class TestReplay:
             solo_decisions
         )
 
-    def test_batched_votes_bit_identical_to_per_site(self, meter, records):
-        """The vectorized predict_batch fast path must not change one
-        bit of any decision, even with a faulted site in the mix."""
+    def test_batched_votes_bit_identical_to_per_site(
+        self, meter, records, monkeypatch
+    ):
+        """The vectorized predict_batch votes must not change one bit
+        of any decision, even with a faulted site in the mix: on either
+        path, each site decides as a solo monitor behind its own fault
+        injector, whose synopses vote one window at a time."""
         sites = [
             SiteSpec(name="clean"),
             SiteSpec(name="faulty", plan=FAULTY_PLAN),
         ]
-        batched = CapacityService(meter, sites, batch_votes=True)
-        unbatched = CapacityService(meter, sites, batch_votes=False)
-        decisions_batched = batched.replay(records)
-        decisions_unbatched = unbatched.replay(records)
-        for name in ("clean", "faulty"):
-            assert site_signature(
-                decisions_batched, name
-            ) == site_signature(decisions_unbatched, name)
+        campaign = run_campaign(meter, records, FAULTY_PLAN)
+        solo = {
+            "clean": decision_signature(campaign.clean_decisions),
+            "faulty": decision_signature(campaign.fault_decisions),
+        }
+        for stacked in (True, False):
+            pin_path(monkeypatch, stacked=stacked, sites=len(sites))
+            decisions = CapacityService(meter, sites).replay(records)
+            for name in ("clean", "faulty"):
+                assert site_signature(decisions, name) == solo[name]
 
     def test_fault_campaign_end_to_end(self, meter, records):
         """Satellite: a seeded dropout+stall plan through the whole
@@ -433,17 +444,17 @@ def attach_with_front_ends(service):
     return sim, websites, fronts
 
 
-def live_campaign(meter, directory, *, use_fleet, adapt):
-    """Serve ``PARITY_SPECS`` live through observability on and off, a
-    mid-window checkpoint, a resume and a meter swap.
+def live_campaign(meter, directory, patch, *, stacked, adapt):
+    """Serve ``PARITY_SPECS`` live, stacked or per site, through
+    observability on and off, a mid-window checkpoint, a resume and a
+    meter swap.
 
     Returns the resumed service and every ``(site, decision)``.
     """
+    pin_path(patch, stacked=stacked, sites=len(PARITY_SPECS))
     decisions = []
     options = dict(
         adapt=adapt,
-        use_fleet=use_fleet,
-        batch_votes=use_fleet,
         on_decision=lambda name, d: decisions.append((name, d)),
     )
     service = CapacityService(meter, list(PARITY_SPECS), **options)
@@ -456,12 +467,6 @@ def live_campaign(meter, directory, *, use_fleet, adapt):
         OBS.reset()
     sim.run(until=2 * MINI_WINDOW + 4.5)  # mid-window
     service.save(directory)
-    if not use_fleet:
-        # the fleet layout's file too, so the two runs' files compare
-        save_fleet_checkpoint(
-            [(site.name, site.monitor) for site in service.sites],
-            directory / "fleet.monitor.json",
-        )
     service.stop()
     del options["adapt"]
     resumed = CapacityService.resume(
@@ -484,14 +489,16 @@ class TestLiveFleetParity:
     meter swap, on clean, faulty and lossy sites."""
 
     @pytest.mark.parametrize("adapt", [False, True])
-    def test_attach_matches_per_site_loop(self, meter, tmp_path, adapt):
+    def test_attach_matches_per_site_loop(
+        self, meter, tmp_path, adapt, monkeypatch
+    ):
         fleet, fleet_decisions = live_campaign(
-            meter, tmp_path / "fleet", use_fleet=True, adapt=adapt
+            meter, tmp_path / "fleet", monkeypatch, stacked=True, adapt=adapt
         )
         scalar, scalar_decisions = live_campaign(
-            meter, tmp_path / "scalar", use_fleet=False, adapt=adapt
+            meter, tmp_path / "scalar", monkeypatch, stacked=False, adapt=adapt
         )
-        assert fleet.fleet is not None and scalar.fleet is None
+        assert fleet.fleet.stacks and not scalar.fleet.stacks
         assert len(fleet_decisions) == len(scalar_decisions) > 0
         for spec in PARITY_SPECS:
             assert site_signature(
@@ -516,7 +523,6 @@ class TestLiveFleetParity:
             json.loads((tmp_path / side / "service.json").read_text())
             for side in ("fleet", "scalar")
         ]
-        assert [m.pop("layout") for m in manifests] == ["fleet", "per-site"]
         assert manifests[0] == manifests[1]
         # after the swap the clean sites folded back onto the stack
         assert fleet.meter_version == 2
@@ -573,3 +579,22 @@ class TestServeCli:
             main(["serve", "--scale", "0.2", "--sites", "0"])
         with pytest.raises(SystemExit, match="--resume requires"):
             main(["serve", "--scale", "0.2", "--resume"])
+
+    def test_serve_http_rejects_process_faults_without_workers(
+        self, meter, tmp_path
+    ):
+        """Process chaos targets shard workers: one process has none,
+        so serve-http refuses the plan as serve does, instead of
+        serving without it."""
+        from repro.cli import main
+
+        path = tmp_path / "meter.json"
+        meter.save(path)
+        with pytest.raises(SystemExit, match="--process-faults needs"):
+            main(
+                [
+                    "serve-http", "--sites", "1", "--scale", "0.2",
+                    "--meter", str(path), "--port", "0", "--duration", "1",
+                    "--process-faults", "this is not a plan",
+                ]
+            )

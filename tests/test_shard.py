@@ -29,7 +29,7 @@ from repro.faults import FaultPlan, FaultSpec, decision_signature
 from repro.obs import OBS, MetricsRegistry, merge_snapshot, snapshot_lines
 from repro.parallel.pool import WorkerError, WorkerPool
 from repro.telemetry.sampler import HPC_LEVEL, OS_LEVEL
-from tests.conftest import attach_busy_sites, sample_both_levels
+from tests.conftest import attach_busy_sites, pin_path, sample_both_levels
 
 FAULTY_PLAN = FaultPlan(
     seed=3,
@@ -73,6 +73,13 @@ def canon(state):
     which compare unequal to themselves under ``==`` even when the
     states are bit-identical."""
     return json.dumps(state, sort_keys=True)
+
+
+def _worker_stacks():
+    """Does this worker's shard fold and decide on the stack?"""
+    from repro.control import shard
+
+    return shard._SHARD.fleet.stacks
 
 
 def site_signatures(decisions):
@@ -145,6 +152,31 @@ class TestShardedParity:
         ) as service:
             decisions = service.replay(records)
             # merged emission order is the single-process order exactly
+            assert [n for n, _ in decisions] == [
+                n for n, _ in reference["decisions"]
+            ]
+            assert site_signatures(decisions) == reference["signatures"]
+            assert service.gate_states() == reference["gates"]
+            assert canon(service.monitor_states()) == canon(
+                reference["monitors"]
+            )
+
+    def test_stacked_workers_match_per_site_process(
+        self, meter, labeler, records, reference, monkeypatch
+    ):
+        """Each worker applies the size rule to its own shard: with the
+        constant patched before the pool forks, 3-site shards stack and
+        still merge into the per-site single-process stream."""
+        assert not CapacityService(meter, reference["specs"]).fleet.stacks
+        pin_path(monkeypatch, stacked=True, sites=3)
+        with ShardedCapacityService(
+            meter, reference["specs"], workers=2, labeler=labeler
+        ) as service:
+            decisions = service.replay(records)
+            assert [service.pool.call(w, _worker_stacks) for w in (0, 1)] == [
+                True,
+                True,
+            ]
             assert [n for n, _ in decisions] == [
                 n for n, _ in reference["decisions"]
             ]
