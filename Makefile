@@ -48,15 +48,18 @@ slo-check:
 # the serving benchmark's output checks on both fleets, on the
 # simulated-traffic sites and on serve-http: every window decided, none
 # held or degraded, sharded signatures equal to single-process ones;
+# a traced fleet run fails if a wrapped entry point left its class;
 # then `repro serve` with the benchmark's meter must print the same
-# decisions stacked (16 sites in one process) as per site (4 sites per
-# worker), and in one process as across workers; the exit codes gate,
-# timings do not
+# decisions stacked (16 sites in one process, sampled by one fleet
+# sampler) as per site (4 sites per worker, each with its own sampler),
+# and in one process as across workers; the exit codes gate, timings
+# do not
 perfbench-check:
 	python3 perfbench/run.py --workload fleet-recorded --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload fleet-sharded --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload serve-live --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload http-admit --seed 1 --seconds 5 --trace 0
+	python3 perfbench/run.py --workload fleet-recorded --seed 1 --seconds 5 --trace 1
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 16 --scale 0.2 --meter .bench_build/meter.json > .bench_build/serve-16-stacked.txt
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 16 --scale 0.2 --meter .bench_build/meter.json --workers 4 > .bench_build/serve-16-per-site.txt
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve --sites 4 --scale 0.2 --meter .bench_build/meter.json > .bench_build/serve-4.txt

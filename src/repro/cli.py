@@ -756,6 +756,7 @@ def _cmd_serve_sharded(args: argparse.Namespace, meter, labeler, specs) -> int:
             workers=args.workers,
             labeler=labeler,
             allow_subset=args.allow_subset,
+            retain_decisions=0,
             **supervise,
         )
         print(
@@ -769,6 +770,7 @@ def _cmd_serve_sharded(args: argparse.Namespace, meter, labeler, specs) -> int:
             specs,
             workers=args.workers,
             labeler=labeler,
+            retain_decisions=0,
             **supervise,
         )
     controller = None
@@ -925,6 +927,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             specs,
             labeler=labeler,
             allow_subset=args.allow_subset,
+            retain_decisions=0,
             on_decision=show,
         )
         print(
@@ -937,6 +940,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             meter,
             specs,
             labeler=labeler,
+            retain_decisions=0,
             on_decision=show,
         )
     if args.checkpoint:
@@ -1018,6 +1022,7 @@ def _serve_http_backend(args, meter, labeler, specs):
             specs,
             workers=args.workers,
             labeler=labeler,
+            retain_decisions=0,
             recover=not args.no_recover,
             max_respawns=args.max_respawns,
             recv_timeout=args.recv_timeout,
@@ -1059,7 +1064,7 @@ def _serve_http_backend(args, meter, labeler, specs):
 
         return service, tick, cleanup
 
-    service = CapacityService(meter, specs, labeler=labeler)
+    service = CapacityService(meter, specs, labeler=labeler, retain_decisions=0)
     service.enable_snapshots()
     sim, duration = _serve_sites(service, args.mix, args.profile, args.scale)
     controller = None

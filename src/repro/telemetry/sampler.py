@@ -9,6 +9,9 @@ with the corresponding high-level state, forms one training instance
   draining the website's physical counters and passing them through the
   :class:`~repro.telemetry.hpc.HpcModel` and
   :class:`~repro.telemetry.osmetrics.OsMetricsModel` of each tier;
+* :class:`FleetSampler` samples many hpc-only websites in one pass,
+  gathering their fields into arrays and synthesizing every tier's
+  counters as one :class:`~repro.telemetry.hpc.HpcBlock`;
 * :class:`MeasurementRun` holds the resulting per-interval records for
   one workload execution;
 * :func:`build_dataset` averages records over fixed windows and labels
@@ -19,6 +22,7 @@ with the corresponding high-level state, forms one training instance
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -36,16 +40,20 @@ from ..obs import OBS
 from ..simulator.engine import Simulator
 from ..simulator.website import MultiTierWebsite, WebsiteSample
 from .dataset import Dataset, Instance
-from .hpc import HpcModel
+from .hpc import HPC_METRIC_NAMES, OBSERVED_FIELDS, HpcBlock, HpcModel
 from .osmetrics import OsMetricsModel
 
 __all__ = [
     "CONCRETE_LEVELS",
+    "CLIENT_FIELDS",
     "HPC_LEVEL",
     "OS_LEVEL",
     "HYBRID_LEVEL",
+    "FleetSampler",
     "IntervalRecord",
     "MeasurementRun",
+    "SampledTick",
+    "TIER_FIELDS",
     "TelemetryError",
     "TelemetrySampler",
     "WindowStats",
@@ -299,6 +307,126 @@ class TelemetrySampler:
             name: model.observe(ws.tiers[name], **net.get(name, {}))
             for name, model in self._os_models.items()
         }
+
+
+#: the float fields of a client sample, then of each tier sample, in the
+#: column order of :attr:`SampledTick.fields`: the tier fields are what
+#: :class:`~repro.telemetry.hpc.HpcModel` reads, then what a fold reads
+CLIENT_FIELDS: Tuple[str, ...] = ("t_start", "t_end", "response_time_sum")
+TIER_FIELDS: Tuple[str, ...] = OBSERVED_FIELDS + ("cores", "queue_avg")
+#: the count fields of a client sample; each tier adds its workers
+CLIENT_COUNTS: Tuple[str, ...] = ("submitted", "completed", "dropped")
+_CLIENT_GATHER = attrgetter(*CLIENT_FIELDS)
+_COUNT_GATHER = attrgetter(*CLIENT_COUNTS)
+_TIER_GATHER = attrgetter(*TIER_FIELDS)
+
+
+@dataclass
+class SampledTick:
+    """One interval of every website a :class:`FleetSampler` reads.
+
+    Arrays hold one row per website, in sampler order:
+
+    * ``counters`` ``(sites, tiers, 16)``: each tier's hardware counters
+      in :data:`~repro.telemetry.hpc.HPC_METRIC_NAMES` order, noise
+      applied;
+    * ``fields`` ``(sites, 3 + 9 * tiers)``: the client's
+      :data:`CLIENT_FIELDS`, then each tier's :data:`TIER_FIELDS`;
+    * ``counts`` ``(sites, 3 + tiers)``: the client's
+      :data:`CLIENT_COUNTS`, then each tier's workers, in the dtype
+      numpy gives the gathered values.
+
+    ``odd`` lists the rows whose sample names other tiers than
+    ``tiers``, or the same ones in another order.
+    """
+
+    samples: List[WebsiteSample]
+    tiers: Tuple[str, ...]
+    counters: np.ndarray
+    fields: np.ndarray
+    counts: np.ndarray
+    odd: List[int]
+
+    def record(self, row: int) -> IntervalRecord:
+        """The record an hpc-level :class:`TelemetrySampler` would build."""
+        return IntervalRecord(
+            website=self.samples[row],
+            hpc={
+                tier: dict(zip(HPC_METRIC_NAMES, values))
+                for tier, values in zip(self.tiers, self.counters[row].tolist())
+            },
+            os={},
+        )
+
+
+class FleetSampler:
+    """Samples many websites' hardware counters in one array pass.
+
+    The block form of one :class:`TelemetrySampler` per website at
+    ``levels={"hpc"}``: each (website, tier) keeps the
+    :class:`~repro.telemetry.hpc.HpcModel` that sampler would give it
+    (the tier's spec, ``hpc_noise`` and seed ``seed * 1000 + tier
+    index``), and :meth:`sample` derives the same counters, bit for bit,
+    through one :class:`~repro.telemetry.hpc.HpcBlock`, leaving every
+    model's generator where the per-site sampler leaves it.  Every
+    website must have the same tiers.  It has no timer: its owner calls
+    :meth:`sample` once per interval.
+    """
+
+    def __init__(
+        self,
+        websites: Sequence[MultiTierWebsite],
+        seeds: Sequence[int],
+        *,
+        hpc_noise: float = 0.03,
+    ):
+        if not websites or len(seeds) != len(websites):
+            raise ValueError("FleetSampler needs one seed per website, and a website")
+        self.tiers = tuple(websites[0].tiers)
+        if any(tuple(website.tiers) != self.tiers for website in websites):
+            raise ValueError("FleetSampler websites must have the same tiers")
+        self.websites = list(websites)
+        self.block = HpcBlock(
+            [
+                HpcModel(tier.spec, noise=hpc_noise, seed=seed * 1000 + i)
+                for website, seed in zip(websites, seeds)
+                for i, tier in enumerate(website.tiers.values())
+            ]
+        )
+
+    def sample(self) -> SampledTick:
+        """Sample every website once and synthesize all their counters."""
+        tiers = self.tiers
+        samples: List[WebsiteSample] = []
+        floats: List[tuple] = []
+        counts: List[tuple] = []
+        odd: List[int] = []
+        for row, website in enumerate(self.websites):
+            ws = website.sample()
+            samples.append(ws)
+            client = ws.client
+            values = _CLIENT_GATHER(client)
+            ints = _COUNT_GATHER(client)
+            tier_samples = ws.tiers
+            if tuple(tier_samples) != tiers:
+                odd.append(row)
+            for name in tiers:
+                tier = tier_samples[name]
+                values += _TIER_GATHER(tier)
+                ints += (tier.workers,)
+            floats.append(values)
+            counts.append(ints)
+        fields = np.array(floats, dtype=float)
+        per_tier = fields[:, len(CLIENT_FIELDS) :].reshape(-1, len(TIER_FIELDS))
+        counters = self.block.observe(per_tier[:, : len(OBSERVED_FIELDS)])
+        return SampledTick(
+            samples=samples,
+            tiers=tiers,
+            counters=counters.reshape(len(samples), len(tiers), -1),
+            fields=fields,
+            counts=np.array(counts),
+            odd=odd,
+        )
 
 
 # ----------------------------------------------------------------------

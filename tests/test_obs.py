@@ -480,6 +480,18 @@ class TestObsOnlyObserves:
             assert reference.get(SPAN_METRIC, span=span) is None
         assert reference.get(SPAN_METRIC, span="monitor_decide").count > 0
         assert "site_decide" not in exposition(on)
+        if mode == "live":
+            # every site here reads only hardware counters: the stacked
+            # service samples them all in one pass per tick and counts
+            # each site's interval as its own sampler would
+            ticks = on.value("repro_sampler_ticks_total")
+            assert ticks == reference.value("repro_sampler_ticks_total")
+            assert ticks == len(OBSERVED_SPECS) * (MINI_WINDOW * 6 + 1)
+            fleet_sample = on.get(SPAN_METRIC, span="fleet_sample")
+            assert fleet_sample.count == MINI_WINDOW * 6 + 1
+            assert on.get(SPAN_METRIC, span="sampler_tick") is None
+            assert reference.get(SPAN_METRIC, span="fleet_sample") is None
+            assert reference.get(SPAN_METRIC, span="sampler_tick").count == ticks
 
 
 class TestOverheadSelfMeasurement:

@@ -1,5 +1,6 @@
 """Unit tests for telemetry sampling and window aggregation."""
 
+import numpy as np
 import pytest
 
 from repro.simulator import AppServer, DatabaseServer, MultiTierWebsite, Simulator
@@ -11,6 +12,8 @@ from repro.telemetry.sampler import (
     HPC_LEVEL,
     HYBRID_LEVEL,
     OS_LEVEL,
+    FleetSampler,
+    IntervalRecord,
     TelemetrySampler,
     aggregate_window,
     build_dataset,
@@ -325,3 +328,107 @@ class TestHybridLevel:
         assert len(ds) == 3
         assert any(name.startswith("hpc.") for name in ds.attribute_names)
         assert any(name.startswith("os.") for name in ds.attribute_names)
+
+
+class _Replay:
+    """A website replaying recorded samples: ``tiers`` and ``sample()``."""
+
+    def __init__(self, tiers, samples, offset):
+        self.tiers = tiers
+        self._samples = samples
+        self._next = offset
+
+    def sample(self):
+        current = self._samples[self._next % len(self._samples)]
+        self._next += 1
+        return current
+
+
+def assert_same_record(got, want):
+    assert got.website is want.website
+    assert got.os == want.os == {}
+    assert list(got.hpc) == list(want.hpc)
+    for tier, metrics in want.hpc.items():
+        assert list(got.hpc[tier]) == list(metrics) == HPC_METRIC_NAMES
+        got_bits = np.array(list(got.hpc[tier].values())).view(np.uint64)
+        want_bits = np.array(list(metrics.values())).view(np.uint64)
+        assert got_bits.tolist() == want_bits.tolist()
+
+
+class TestFleetSampler:
+    """One pass over many websites builds, row by row, the record each
+    website's own hpc-level sampler builds, from the same seeds."""
+
+    SEEDS = (7, 12345, 0, 3)
+
+    def test_recorded_websites_match_own_samplers(self, sim, website, mini_pipeline):
+        records = mini_pipeline.test_run("browsing").records[:60]
+        samples = [record.website for record in records]
+
+        def websites():
+            return [
+                _Replay(website.tiers, samples, 13 * k) for k in range(len(self.SEEDS))
+            ]
+
+        own = [
+            TelemetrySampler(
+                sim, replay, interval=1.0, seed=seed, retain=1, levels=(HPC_LEVEL,)
+            )
+            for replay, seed in zip(websites(), self.SEEDS)
+        ]
+        fleet = FleetSampler(websites(), self.SEEDS, hpc_noise=0.03)
+        models = [model for sampler in own for model in sampler._hpc_models.values()]
+        for second in range(1, 81):
+            sim.run(until=float(second))
+            tick = fleet.sample()
+            assert tick.tiers == tuple(website.tiers) and not tick.odd
+            for row, sampler in enumerate(own):
+                assert_same_record(tick.record(row), sampler.run.records[-1])
+            for model, twin in zip(models, fleet.block.models):
+                assert model._rng.bit_generator.state == twin._rng.bit_generator.state
+
+    def test_simulated_websites_match_own_samplers(self):
+        """Two identical simulations: one sampled per site, one by the
+        fleet sampler from a timer of its own."""
+
+        def build():
+            sim = Simulator()
+            sites = []
+            for k, seed in enumerate(self.SEEDS):
+                site = MultiTierWebsite(sim, AppServer(sim), DatabaseServer(sim))
+                rbe = RemoteBrowserEmulator(
+                    sim, site, ORDERING_MIX, think_time_mean=0.5, seed=seed
+                )
+                rbe.set_population(10 + 15 * k)
+                sites.append(site)
+            return sim, sites
+
+        sim_a, sites_a = build()
+        own = [
+            TelemetrySampler(
+                sim_a, site, interval=1.0, seed=seed, retain=1, levels=(HPC_LEVEL,)
+            )
+            for site, seed in zip(sites_a, self.SEEDS)
+        ]
+        sim_b, sites_b = build()
+        fleet = FleetSampler(sites_b, self.SEEDS)
+        ticks = []
+        sim_b.every(1.0, lambda: ticks.append(fleet.sample()))
+        for second in range(1, 31):
+            sim_a.run(until=float(second))
+            sim_b.run(until=float(second))
+            tick = ticks[-1]
+            for row, sampler in enumerate(own):
+                want = sampler.run.records[-1]
+                got = tick.record(row)
+                assert got.website == want.website
+                assert_same_record(
+                    IntervalRecord(website=want.website, hpc=got.hpc, os={}), want
+                )
+
+    def test_websites_must_share_tiers(self, sim, website):
+        other = _Replay({"app": website.tiers["app"]}, [], 0)
+        with pytest.raises(ValueError):
+            FleetSampler([website, other], [1, 2])
+        with pytest.raises(ValueError):
+            FleetSampler([website], [1, 2])

@@ -13,11 +13,13 @@ whole-service checkpoint/resume.  The key invariants pinned here:
   bit, gates included.
 """
 
+import collections
 import json
 
 import pytest
 
-from repro.control import CapacityService, SiteSpec
+from repro.control import AimdGate, CapacityService, SiteSpec
+from repro.control.service import SiteRuntime
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -354,6 +356,73 @@ def both_levels_outcome(meter, specs=LIVE_SPECS):
     return live_outcome(service, decisions)
 
 
+class TestPerSiteEmission:
+    """A per-site flush emits each decision right after its own decide
+    and gate update, in the same order and with the same state as the
+    stacked flush, which emits after every gate has moved."""
+
+    @staticmethod
+    def serve(meter, patch, *, stacked):
+        pin_path(patch, stacked=stacked, sites=len(LIVE_SPECS))
+        events = []
+        moved = {}
+        update = AimdGate.update
+
+        def spy(gate, decision):
+            update(gate, decision)
+            events.append(("gate", gate.site))
+            moved[gate.site, decision.index] = gate.admission_probability
+
+        emitted = []
+
+        def on_decision(name, decision):
+            events.append(("emit", name))
+            gate = service.site(name).gate
+            emitted.append((name, decision, gate.admission_probability))
+
+        with pytest.MonkeyPatch.context() as spied:
+            spied.setattr(AimdGate, "update", spy)
+            service = CapacityService(
+                meter, list(LIVE_SPECS), on_decision=on_decision
+            )
+            attach_busy_sites(service).run(until=MINI_WINDOW * 6 + 1)
+            service.stop()
+        return service, events, moved, emitted
+
+    def test_emits_right_after_each_decide(self, meter, monkeypatch):
+        per_site, events, moved, emitted = self.serve(
+            meter, monkeypatch, stacked=False
+        )
+        stacked, stacked_events, _, stacked_emitted = self.serve(
+            meter, monkeypatch, stacked=True
+        )
+        assert not per_site.fleet.stacks and stacked.fleet.stacks
+        assert len(emitted) == len(LIVE_SPECS) * 6
+        assert any(decision.degraded for _, decision, _ in emitted)
+        # same order, decisions, gate probabilities and final state
+        assert [(name, repr(d), p) for name, d, p in emitted] == [
+            (name, repr(d), p) for name, d, p in stacked_emitted
+        ]
+        for a, b in zip(per_site.sites, stacked.sites):
+            assert json.dumps(a.monitor.state_dict()) == json.dumps(
+                b.monitor.state_dict()
+            )
+            assert a.gate.state_dict() == b.gate.state_dict()
+        # per site: each gate moves, then its decision goes out; the
+        # stack moves every gate of the wave first
+        flush = [("gate", "clean"), ("emit", "clean"), ("gate", "faulty")]
+        assert events[:3] == flush
+        assert stacked_events[:3] == [
+            ("gate", "clean"),
+            ("gate", "faulty"),
+            ("gate", "os-faulty"),
+        ]
+        # the probability an emitted decision carries is its gate's
+        # right after that decision moved it
+        for name, decision, probability in emitted:
+            assert probability == moved[name, decision.index]
+
+
 class TestLiveLevels:
     """Live samplers synthesize only what their site reads."""
 
@@ -420,7 +489,10 @@ LOSSY_PLAN = FaultPlan(
     ),
 )
 
-PARITY_SPECS = LIVE_SPECS + (SiteSpec(name="lossy", seed=4, plan=LOSSY_PLAN),)
+PARITY_SPECS = LIVE_SPECS + (
+    SiteSpec(name="lossy", seed=4, plan=LOSSY_PLAN),
+    SiteSpec(name="clean2", seed=5),
+)
 
 
 def attach_with_front_ends(service):
@@ -444,14 +516,37 @@ def attach_with_front_ends(service):
     return sim, websites, fronts
 
 
+def assert_samplers(service, *, stacked):
+    """Which sites the fleet sampler reads, and which have their own."""
+    fleet_sampled = ["clean", "faulty", "lossy", "clean2"] if stacked else []
+    assert [site.name for site in service._fleet_sampled] == fleet_sampled
+    assert [sampler.run.workload for sampler in service._samplers] == [
+        f"serve-{site.name}"
+        for site in service.sites
+        if site.name not in fleet_sampled
+    ]
+
+
 def live_campaign(meter, directory, patch, *, stacked, adapt):
     """Serve ``PARITY_SPECS`` live, stacked or per site, through
     observability on and off, a mid-window checkpoint, a resume and a
     meter swap.
 
+    Stacked, every site that reads only hardware counters is sampled by
+    the fleet sampler; ``os-faulty`` keeps its own sampler.  Per site,
+    every site has its own sampler.
+
     Returns the resumed service and every ``(site, decision)``.
     """
     pin_path(patch, stacked=stacked, sites=len(PARITY_SPECS))
+    offers = collections.Counter()
+    offer = SiteRuntime.offer
+
+    def counting(site, record):
+        offers[site.name] += 1
+        offer(site, record)
+
+    patch.setattr(SiteRuntime, "offer", counting)
     decisions = []
     options = dict(
         adapt=adapt,
@@ -459,6 +554,7 @@ def live_campaign(meter, directory, patch, *, stacked, adapt):
     )
     service = CapacityService(meter, list(PARITY_SPECS), **options)
     sim, websites, fronts = attach_with_front_ends(service)
+    assert_samplers(service, stacked=stacked)
     sim.run(until=5.5)
     OBS.enable(registry=MetricsRegistry())
     try:
@@ -475,10 +571,21 @@ def live_campaign(meter, directory, patch, *, stacked, adapt):
     for name, front in fronts.items():
         front.gate = resumed.site(name).gate
     resumed.attach(sim, websites)
+    assert_samplers(resumed, stacked=stacked)
     sim.run(until=3 * MINI_WINDOW + 3.5)
     resumed.swap_meter(meter)
     sim.run(until=7 * MINI_WINDOW + 0.5)
     resumed.stop()
+    ticks = 7 * MINI_WINDOW
+    assert offers["faulty"] == offers["os-faulty"] == ticks
+    if stacked:
+        # a clean site gets a record only while the stack cannot take
+        # its row: from the mid-window resume to its window boundary,
+        # and from the swap (installed one tick into a window) to the
+        # next
+        assert offers["clean"] == offers["clean2"] == 2 * MINI_WINDOW - 5
+    else:
+        assert offers["clean"] == offers["clean2"] == ticks
     return resumed, decisions
 
 
@@ -571,6 +678,59 @@ class TestServeCli:
         text = (tmp_path / "serve.prom").read_text()
         assert "repro_admission_probability" in text
         assert 'site="site0"' in text
+
+    def test_serve_commands_keep_no_decision_tail(
+        self, meter, tmp_path, monkeypatch, capsys
+    ):
+        """serve and serve-http score from counters and checkpoint no
+        decision, so no service they build keeps a decision tail: a
+        long-running server holds no ``MonitorDecision`` it made."""
+        from repro.cli import _serve_http_backend, build_parser, main
+        from repro.control.shard import ShardedCapacityService
+        from repro.core.monitor import OnlineCapacityMonitor
+
+        tails = []
+        init = OnlineCapacityMonitor.__init__
+
+        def monitor_init(monitor, *args, **kwargs):
+            init(monitor, *args, **kwargs)
+            tails.append(monitor.decisions.maxlen)
+
+        class Built(Exception):
+            pass
+
+        sharded = []
+
+        def sharded_build(*args, **kwargs):
+            sharded.append(kwargs.get("retain_decisions"))
+            raise Built
+
+        monkeypatch.setattr(OnlineCapacityMonitor, "__init__", monitor_init)
+        monkeypatch.setattr(ShardedCapacityService, "__init__", sharded_build)
+        monkeypatch.setattr(ShardedCapacityService, "resume", sharded_build)
+        path = tmp_path / "meter.json"
+        meter.save(path)
+        serve = [
+            "serve", "--scale", "0.2", "--sites", "2", "--meter", str(path),
+            "--checkpoint", str(tmp_path / "svc"),
+        ]
+        assert main(serve) == 0
+        assert main(serve + ["--resume"]) == 0
+        for resume in ([], ["--resume"]):
+            with pytest.raises(Built):
+                main(serve + ["--workers", "2"] + resume)
+        args = build_parser().parse_args(
+            ["serve-http", "--sites", "2", "--scale", "0.2", "--meter", str(path)]
+        )
+        specs = [SiteSpec(name=f"site{i}", seed=i) for i in range(2)]
+        _, _, cleanup = _serve_http_backend(args, meter, meter.labeler, specs)
+        cleanup()
+        args.workers = 2
+        with pytest.raises(Built):
+            _serve_http_backend(args, meter, meter.labeler, specs)
+        capsys.readouterr()
+        assert len(tails) >= 6 and set(tails) == {0}
+        assert sharded == [0, 0, 0]
 
     def test_serve_validation(self):
         from repro.cli import main

@@ -6,7 +6,13 @@ import pytest
 from repro.simulator.appserver import PENTIUM4_SPEC
 from repro.simulator.database import PENTIUMD_SPEC
 from repro.simulator.server import TierSample
-from repro.telemetry.hpc import HPC_METRIC_NAMES, HpcModel, _ArchParams
+from repro.telemetry.hpc import (
+    HPC_METRIC_NAMES,
+    OBSERVED_FIELDS,
+    HpcBlock,
+    HpcModel,
+    _ArchParams,
+)
 from repro.telemetry.osmetrics import OS_METRIC_NAMES, OsMetricsModel
 
 
@@ -248,3 +254,137 @@ class TestOsMetricsModel:
     def test_invalid_role_rejected(self):
         with pytest.raises(ValueError):
             OsMetricsModel(PENTIUM4_SPEC, role="cache")
+
+
+def block_samples(samples, pairs):
+    """``samples`` cut into ticks of ``pairs`` tier samples."""
+    return [samples[k : k + pairs] for k in range(0, len(samples) - pairs + 1, pairs)]
+
+
+def observed_fields(samples):
+    return np.array(
+        [[getattr(sample, name) for name in OBSERVED_FIELDS] for sample in samples],
+        dtype=float,
+    )
+
+
+def edge_samples():
+    """Inputs where Python's scalar rules and numpy's part ways."""
+    nan = float("nan")
+    tier = dict(tier="db", completed=3, cores=2, workers=20)
+    return [
+        # an idle tier: most counters are zero and skip their draw
+        make_sample(work=0.0, busy=0.0, completed=0),
+        make_sample(work=0.0, busy=0.0, completed=0, runnable=0.0, miss=0.0),
+        # zero and negative duration: observe divides by 1e-9
+        TierSample(t_start=5.0, t_end=5.0, core_busy_time=0.4, work_done=0.3, **tier),
+        TierSample(t_start=5.0, t_end=4.0, core_busy_time=0.4, work_done=0.3, **tier),
+        # zero work, zero miss rate, zero runnable
+        make_sample(work=0.0, background=0.0),
+        make_sample(miss=0.0),
+        make_sample(runnable=0.0),
+        # NaN inputs: min(0.2, NaN) is 0.2, max(NaN, 1e-9) is NaN
+        make_sample(runnable=nan),
+        make_sample(miss=nan),
+        make_sample(busy=nan),
+        make_sample(work=nan),
+        TierSample(t_start=0.0, t_end=nan, core_busy_time=0.4, work_done=0.3, **tier),
+        # -0.0 busy time: min(0.0, -0.0) keeps 0.0, np.minimum gives -0.0
+        TierSample(t_start=0.0, t_end=1.0, core_busy_time=-0.0, **tier),
+        make_sample(runnable=500.0, miss=0.9),
+    ]
+
+
+class TestHpcBlock:
+    """One array pass over many models equals each model's observe, bit
+    for bit, generator state included."""
+
+    @staticmethod
+    def assert_block_matches(samples_by_tick, models, twins):
+        block = HpcBlock(twins)
+        for samples in samples_by_tick:
+            got = block.observe(observed_fields(samples))
+            for row, (model, twin, sample) in enumerate(zip(models, twins, samples)):
+                want = model.observe(sample)
+                assert list(want) == HPC_METRIC_NAMES
+                expected = np.array(list(want.values()), dtype=float)
+                assert got[row].view(np.uint64).tolist() == expected.view(
+                    np.uint64
+                ).tolist(), (row, sample)
+                assert (
+                    twin._rng.bit_generator.state
+                    == model._rng.bit_generator.state
+                )
+
+    @staticmethod
+    def models(pairs, noise):
+        specs = (PENTIUM4_SPEC, PENTIUMD_SPEC)
+        return [
+            HpcModel(specs[p % 2], noise=noise, seed=1000 * p + p % 2)
+            for p in range(pairs)
+        ]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.03, 0.25])
+    def test_recorded_samples(self, mini_pipeline, noise):
+        records = mini_pipeline.test_run("interleaved").records[:120]
+        samples = [
+            tier for record in records for tier in record.website.tiers.values()
+        ]
+        self.assert_block_matches(
+            block_samples(samples, 16), self.models(16, noise), self.models(16, noise)
+        )
+
+    @pytest.mark.parametrize("noise", [0.0, 0.03])
+    def test_simulated_samples(self, sim, website, noise):
+        from repro.workload.rbe import RemoteBrowserEmulator
+        from repro.workload.tpcw import ORDERING_MIX
+
+        rbe = RemoteBrowserEmulator(
+            sim, website, ORDERING_MIX, think_time_mean=0.5, seed=5
+        )
+        rbe.set_population(30)
+        samples = []
+        for second in range(1, 41):
+            sim.run(until=float(second))
+            samples.extend(website.sample().tiers.values())
+        self.assert_block_matches(
+            block_samples(samples, 8), self.models(8, noise), self.models(8, noise)
+        )
+
+    @pytest.mark.parametrize("noise", [0.0, 0.03])
+    def test_edge_cases(self, noise):
+        edges = edge_samples()
+        rng = np.random.default_rng(11)
+        ticks = [
+            [edges[k] for k in rng.integers(len(edges), size=len(edges))]
+            for _ in range(200)
+        ]
+        ticks.insert(0, edges)
+        pairs = len(edges)
+        self.assert_block_matches(
+            ticks, self.models(pairs, noise), self.models(pairs, noise)
+        )
+
+    def test_models_without_noise_draw_nothing(self):
+        """Rows at noise 0 draw nothing; the rest draw as before."""
+        noises = [0.0, 0.03, 0.0, 0.1]
+
+        def models():
+            return [
+                HpcModel(PENTIUM4_SPEC, noise=noise, seed=p)
+                for p, noise in enumerate(noises)
+            ]
+
+        samples = [make_sample(), make_sample(miss=0.2), make_sample(), make_sample()]
+        self.assert_block_matches([samples] * 5, models(), models())
+
+    def test_models_must_share_arch(self):
+        with pytest.raises(ValueError):
+            HpcBlock(
+                [
+                    HpcModel(PENTIUM4_SPEC),
+                    HpcModel(PENTIUM4_SPEC, arch=_ArchParams(base_branch_miss=0.0)),
+                ]
+            )
+        with pytest.raises(ValueError):
+            HpcBlock([])
